@@ -270,16 +270,21 @@ bool read_values(Ctx& ctx, const obs::JsonValue& v, const std::string& path,
         }
         // Half-step tolerance on the upper end so from=0.1 to=0.5
         // step=0.1 yields five points despite binary rounding.
-        const double n_exact = (to - from) / step;
-        const std::size_t n =
-            static_cast<std::size_t>(std::floor(n_exact + 0.5 * 1e-9)) + 1;
-        if (n > kMaxSweepValues) {
+        // The count stays a double until it is known to fit: a huge span
+        // (or one that overflows to inf) must not wrap through size_t.
+        const double n_points =
+            std::floor((to - from) / step + 0.5 * 1e-9) + 1.0;
+        if (n_points > static_cast<double>(kMaxSweepValues)) {
             ctx.fail(&val, kp,
-                     "steps generator yields " + std::to_string(n) +
+                     "steps generator yields " +
+                         (std::isfinite(n_points)
+                              ? obs::canonical_number(n_points, {})
+                              : std::string("infinitely many")) +
                          " points, cap is " +
                          std::to_string(kMaxSweepValues));
             return false;
         }
+        const auto n = static_cast<std::size_t>(n_points);
         for (std::size_t i = 0; i < n; ++i) {
             out.push_back(from + static_cast<double>(i) * step);
         }

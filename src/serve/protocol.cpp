@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "obs/json.hpp"
 #include "serve/canonical.hpp"
@@ -19,7 +20,13 @@ bool read_double(const obs::JsonValue& v, double& out) {
 
 bool read_int(const obs::JsonValue& v, int& out) {
     double d = 0.0;
-    if (!read_double(v, d) || std::nearbyint(d) != d) return false;
+    // Range-check the double before the cast: an out-of-range conversion
+    // is undefined behavior.
+    if (!read_double(v, d) || std::nearbyint(d) != d ||
+        d < std::numeric_limits<int>::min() ||
+        d > std::numeric_limits<int>::max()) {
+        return false;
+    }
     out = static_cast<int>(d);
     return true;
 }

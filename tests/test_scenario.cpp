@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -102,7 +103,8 @@ TEST(ScenarioDoc, ValidationDiagnosticPointsAtOffendingValue) {
 struct MalformedCase {
     const char* label;
     const char* text;
-    const char* expect;  ///< substring of some rendered diagnostic
+    const char* expect;    ///< substring of some rendered diagnostic
+    const char* rendered;  ///< every rendered diagnostic, '\n'-joined
 };
 
 // Every rejection class named in the format doc gets a table row; these
@@ -112,44 +114,64 @@ const MalformedCase kMalformed[] = {
     {"wrong schema",
      R"({"schema":"gcdr.scenario/v0","name":"x",
          "tasks":[{"kind":"differential","prefix":"d"}]})",
-     "schema"},
+     "schema",
+     "<test>:1:11: at schema: want \"gcdr.scenario/v1\""},
     {"unknown top-level key",
      R"({"schema":"gcdr.scenario/v1","name":"x","bogus":1,
          "tasks":[{"kind":"differential","prefix":"d"}]})",
-     "unknown key \"bogus\""},
+     "unknown key \"bogus\"",
+     "<test>:1:49: at bogus: unknown key \"bogus\""},
     {"unknown model key",
      R"({"schema":"gcdr.scenario/v1","name":"x","model":{"gri_dx":0.01},
          "tasks":[{"kind":"differential","prefix":"d"}]})",
-     "unknown key \"gri_dx\""},
+     "unknown key \"gri_dx\"",
+     "<test>:1:59: at model.gri_dx: unknown key \"gri_dx\""},
     {"unknown task key for kind",
      R"({"schema":"gcdr.scenario/v1","name":"x",
          "tasks":[{"kind":"differential","prefix":"d","axes":[]}]})",
-     "unknown key \"axes\" for kind \"differential\""},
+     "unknown key \"axes\" for kind \"differential\"",
+     "<test>:2:62: at tasks[0].axes: unknown key \"axes\" for kind "
+     "\"differential\""},
     {"zero mc budget",
      R"({"schema":"gcdr.scenario/v1","name":"x","mc":{"max_evals":0},
          "tasks":[{"kind":"differential","prefix":"d"}]})",
-     "mc.max_evals must be >= 1"},
+     "mc.max_evals must be >= 1",
+     "<test>:1:59: at mc.max_evals: mc.max_evals must be >= 1 (a zero "
+     "budget computes nothing)"},
     {"negative sweep step",
      R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
          {"kind":"ber_surface","prefix":"s","axes":[
           {"name":"sj_uipp","steps":{"from":0.5,"to":0.1,"step":-0.1}}]}]})",
-     "sweep step must be positive"},
+     "sweep step must be positive",
+     "<test>:3:37: at tasks[0].axes[0].steps.step: sweep step must be "
+     "positive, got -0.100000\n"
+     "<test>:3:11: at tasks[0].axes[0]: axis needs values (literal or "
+     "generator)\n"
+     "<test>:2:10: at tasks[0]: ber_surface needs \"axes\""},
     {"duplicate task prefix",
      R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
          {"kind":"differential","prefix":"d"},
          {"kind":"differential","prefix":"d"}]})",
-     "duplicate metric prefix \"d\""},
+     "duplicate metric prefix \"d\"",
+     "<test>:1:1: at tasks[1]: duplicate metric prefix \"d\" (metrics "
+     "would collide)"},
     {"netlist_run without netlist",
      R"({"schema":"gcdr.scenario/v1","name":"x",
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "needs a \"netlist\" section"},
+     "needs a \"netlist\" section",
+     "<test>:1:1: at tasks[0]: netlist_run task needs a \"netlist\" "
+     "section"},
     {"unconnected channel input",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s":{"kind":"source"},"c":{"kind":"channel"},
                       "m":{"kind":"monitor"}},
          "wires":[{"from":"c.dout","to":"m.in"}]},
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "input din is not driven by any wire"},
+     "input din is not driven by any wire",
+     "<test>:4:18: at netlist.wires: channel \"c\" input din is not "
+     "driven by any wire\n"
+     "<test>:4:18: at netlist.wires: source \"s\" output out drives "
+     "nothing"},
     {"doubly-driven channel input",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s0":{"kind":"source"},"s1":{"kind":"source"},
@@ -158,7 +180,9 @@ const MalformedCase kMalformed[] = {
                   {"from":"s1.out","to":"c.din"},
                   {"from":"c.dout","to":"m.in"}]},
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "input din is driven more than once"},
+     "input din is driven more than once",
+     "<test>:4:18: at netlist.wires: channel \"c\" input din is driven "
+     "more than once"},
     {"dangling source output",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s":{"kind":"source"},"s2":{"kind":"source"},
@@ -166,7 +190,9 @@ const MalformedCase kMalformed[] = {
          "wires":[{"from":"s.out","to":"c.din"},
                   {"from":"c.dout","to":"m.in"}]},
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "output out drives nothing"},
+     "output out drives nothing",
+     "<test>:4:18: at netlist.wires: source \"s2\" output out drives "
+     "nothing"},
     {"mismatched channel params",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s":{"kind":"source"},
@@ -178,15 +204,21 @@ const MalformedCase kMalformed[] = {
                   {"from":"c0.dout","to":"m0.in"},
                   {"from":"c1.dout","to":"m1.in"}]},
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "channel parameters must match"},
+     "channel parameters must match",
+     "<test>:2:22: at netlist.instances.c1: channel parameters must "
+     "match across instances (the multichannel receiver shares one "
+     "channel template); \"c1\" differs from \"c0\""},
     {"bad grid_dx",
      R"({"schema":"gcdr.scenario/v1","name":"x","model":{"grid_dx":0.5},
          "tasks":[{"kind":"differential","prefix":"d"}]})",
-     "grid_dx"},
+     "grid_dx",
+     "<test>:1:49: at model.grid_dx: want in (0, 0.1]"},
     {"bad prefix charset",
      R"({"schema":"gcdr.scenario/v1","name":"x",
          "tasks":[{"kind":"differential","prefix":"Bad Prefix"}]})",
-     "prefix"},
+     "prefix",
+     "<test>:2:51: at tasks[0].prefix: metric prefix must be "
+     "[a-z0-9_.]{1,64}"},
     {"pattern combined with prbs",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s":{"kind":"source","pattern":[1,0],"prbs":7},
@@ -194,7 +226,9 @@ const MalformedCase kMalformed[] = {
          "wires":[{"from":"s.out","to":"c.din"},
                   {"from":"c.dout","to":"m.in"}]},
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "cannot be combined with \"bits\" or \"prbs\""},
+     "cannot be combined with \"bits\" or \"prbs\"",
+     "<test>:2:27: at netlist.instances.s: \"pattern\" replaces the "
+     "PRBS stream; it cannot be combined with \"bits\" or \"prbs\""},
     {"repeat without pattern",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s":{"kind":"source","repeat":4},
@@ -202,7 +236,9 @@ const MalformedCase kMalformed[] = {
          "wires":[{"from":"s.out","to":"c.din"},
                   {"from":"c.dout","to":"m.in"}]},
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "\"repeat\" only applies to a \"pattern\" source"},
+     "\"repeat\" only applies to a \"pattern\" source",
+     "<test>:2:27: at netlist.instances.s: \"repeat\" only applies to a "
+     "\"pattern\" source"},
     {"non-bit pattern element",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s":{"kind":"source","pattern":[1,2]},
@@ -210,7 +246,9 @@ const MalformedCase kMalformed[] = {
          "wires":[{"from":"s.out","to":"c.din"},
                   {"from":"c.dout","to":"m.in"}]},
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "pattern bits must be 0 or 1"},
+     "pattern bits must be 0 or 1",
+     "<test>:2:57: at netlist.instances.s.pattern[1]: pattern bits must "
+     "be 0 or 1"},
     {"rate_offset out of range",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s":{"kind":"source","rate_offset":0.75},
@@ -218,11 +256,15 @@ const MalformedCase kMalformed[] = {
          "wires":[{"from":"s.out","to":"c.din"},
                   {"from":"c.dout","to":"m.in"}]},
          "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
-     "want in [-0.5, 0.5]"},
+     "want in [-0.5, 0.5]",
+     "<test>:2:58: at netlist.instances.s.rate_offset: want in [-0.5, "
+     "0.5]"},
     {"health_probe without netlist",
      R"({"schema":"gcdr.scenario/v1","name":"x",
          "tasks":[{"kind":"health_probe","prefix":"h"}]})",
-     "health_probe task needs a \"netlist\" section"},
+     "health_probe task needs a \"netlist\" section",
+     "<test>:1:1: at tasks[0]: health_probe task needs a \"netlist\" "
+     "section"},
     {"health_probe frames out of range",
      R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
          "instances":{"s":{"kind":"source"},
@@ -230,7 +272,110 @@ const MalformedCase kMalformed[] = {
          "wires":[{"from":"s.out","to":"c.din"},
                   {"from":"c.dout","to":"m.in"}]},
          "tasks":[{"kind":"health_probe","prefix":"h","frames":0}]})",
-     "want an integer in [1, 1000]"},
+     "want an integer in [1, 1000]",
+     "<test>:6:64: at tasks[0].frames: want an integer in [1, 1000]"},
+    {"jtol mask not in the enum set",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s",
+          "axes":[{"name":"sj_uipp","values":[0.1]}],
+          "jtol":{"freqs":[0.1],"mask":"sonet"}}]})",
+     "want \"infiniband_2g5\" or \"none\"",
+     "<test>:4:40: at tasks[0].jtol.mask: want \"infiniband_2g5\" or "
+     "\"none\""},
+    {"jtol ber_target out of range",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s",
+          "axes":[{"name":"sj_uipp","values":[0.1]}],
+          "jtol":{"freqs":[0.1],"ber_target":1}}]})",
+     "want in (0, 1)",
+     "<test>:4:46: at tasks[0].jtol.ber_target: want in (0, 1)"},
+    {"jtol_bits out of range",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"baseline_jtol","prefix":"b","jtol_freqs":[0.1],
+          "jtol_bits":999}]})",
+     "want an integer in [1000, 10000000]",
+     "<test>:3:23: at tasks[0].jtol_bits: want an integer in [1000, "
+     "10000000]"},
+    {"behavioral_tau below one",
+     R"({"schema":"gcdr.scenario/v1","name":"x",
+         "tasks":[{"kind":"differential","prefix":"d",
+                   "behavioral_tau":0.5}]})",
+     "want >= 1",
+     "<test>:3:37: at tasks[0].behavioral_tau: want >= 1"},
+    {"unsupported PRBS order",
+     R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
+         "instances":{"s":{"kind":"source","prbs":8},
+                      "c":{"kind":"channel"},"m":{"kind":"monitor"}},
+         "wires":[{"from":"s.out","to":"c.din"},
+                  {"from":"c.dout","to":"m.in"}]},
+         "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
+     "want a PRBS order: 7, 9, 15, 23 or 31",
+     "<test>:2:51: at netlist.instances.s.prbs: want a PRBS order: 7, "
+     "9, 15, 23 or 31"},
+    {"non-positive oscillator frequency",
+     R"({"schema":"gcdr.scenario/v1","name":"x","netlist":{
+         "instances":{"s":{"kind":"source"},
+                      "c":{"kind":"channel","f_osc_hz":0},
+                      "m":{"kind":"monitor"}},
+         "wires":[{"from":"s.out","to":"c.din"},
+                  {"from":"c.dout","to":"m.in"}]},
+         "tasks":[{"kind":"netlist_run","prefix":"n"}]})",
+     "want > 0",
+     "<test>:3:56: at netlist.instances.c.f_osc_hz: want > 0"},
+    {"mc confidence out of range",
+     R"({"schema":"gcdr.scenario/v1","name":"x","mc":{"confidence":1},
+         "tasks":[{"kind":"differential","prefix":"d"}]})",
+     "want in (0, 1)",
+     "<test>:1:60: at mc.confidence: want in (0, 1)"},
+    {"non-positive logspace endpoint",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s","axes":[
+          {"name":"sj_freq_norm",
+           "logspace":{"from":0,"to":0.1,"points":3}}]}]})",
+     "logspace endpoints must be positive",
+     "<test>:4:23: at tasks[0].axes[0].logspace: logspace endpoints "
+     "must be positive\n"
+     "<test>:3:11: at tasks[0].axes[0]: axis needs values (literal or "
+     "generator)\n"
+     "<test>:2:10: at tasks[0]: ber_surface needs \"axes\""},
+    {"unknown axis name",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s",
+          "axes":[{"name":"sj_uipx","values":[0.1]}]}]})",
+     "unknown model field \"sj_uipx\"",
+     "<test>:3:27: at tasks[0].axes[0].name: unknown model field "
+     "\"sj_uipx\""},
+    {"steps generator over the point cap",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s","axes":[
+          {"name":"sj_uipp","steps":{"from":0,"to":20000,"step":1}}]}]})",
+     "steps generator yields 20001 points, cap is 10000",
+     "<test>:3:37: at tasks[0].axes[0].steps: steps generator yields "
+     "20001 points, cap is 10000\n"
+     "<test>:3:11: at tasks[0].axes[0]: axis needs values (literal or "
+     "generator)\n"
+     "<test>:2:10: at tasks[0]: ber_surface needs \"axes\""},
+    {"steps span too large for a point count",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s","axes":[
+          {"name":"sj_uipp","steps":{"from":0,"to":1e30,"step":1}}]}]})",
+     "cap is 10000",
+     "<test>:3:37: at tasks[0].axes[0].steps: steps generator yields "
+     "1e+30 points, cap is 10000\n"
+     "<test>:3:11: at tasks[0].axes[0]: axis needs values (literal or "
+     "generator)\n"
+     "<test>:2:10: at tasks[0]: ber_surface needs \"axes\""},
+    {"steps span overflowing to infinity",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s","axes":[
+          {"name":"sj_uipp",
+           "steps":{"from":0,"to":1e308,"step":1e-308}}]}]})",
+     "cap is 10000",
+     "<test>:4:20: at tasks[0].axes[0].steps: steps generator yields "
+     "infinitely many points, cap is 10000\n"
+     "<test>:3:11: at tasks[0].axes[0]: axis needs values (literal or "
+     "generator)\n"
+     "<test>:2:10: at tasks[0]: ber_surface needs \"axes\""},
 };
 
 TEST(ScenarioDoc, MalformedDocumentsAreRejectedLoudly) {
@@ -242,6 +387,12 @@ TEST(ScenarioDoc, MalformedDocumentsAreRejectedLoudly) {
         EXPECT_TRUE(any_diag_contains(diags, c.expect))
             << c.label << ": wanted \"" << c.expect << "\", got \""
             << (diags.empty() ? "" : diags[0].render()) << "\"";
+        std::string all;
+        for (const auto& d : diags) {
+            if (!all.empty()) all += '\n';
+            all += d.render();
+        }
+        EXPECT_EQ(all, c.rendered) << c.label;
     }
 }
 
@@ -382,6 +533,31 @@ TEST(ScenarioGoldens, CommittedScenariosLoadAndRoundTrip) {
     }
 }
 
+TEST(ScenarioGoldens, CanonicalHashesArePinned) {
+    // scenario_hash keys the bench ledger and the daemon's persistent
+    // cache; a change to any canonical byte re-keys every stored result,
+    // so the exact values are part of the on-disk contract.
+    const struct {
+        const char* file;
+        std::uint64_t hash;
+    } pins[] = {
+        {"fig9_ber_sj.json", 0x15d469506fbdcad4ull},
+        {"baseline_jtol.json", 0x37524aada34c4beaull},
+        {"multilane_smoke.json", 0xf164c1350a22ac53ull},
+        {"xval_sj030.json", 0x710e720f415b097full},
+        {"fig8_timing.json", 0x2ba1c0088c600828ull},
+        {"health_smoke.json", 0xc013b394be268b91ull},
+    };
+    for (const auto& pin : pins) {
+        const std::string path =
+            std::string(GCDR_SCENARIOS_DIR) + "/" + pin.file;
+        ScenarioDoc doc;
+        std::vector<Diagnostic> diags;
+        ASSERT_TRUE(scenario_from_file(path, doc, diags)) << path;
+        EXPECT_EQ(scenario_hash(doc), pin.hash) << path;
+    }
+}
+
 TEST(ScenarioGoldens, MultilaneNetlistCompiles) {
     const std::string path =
         std::string(GCDR_SCENARIOS_DIR) + "/multilane_smoke.json";
@@ -406,6 +582,17 @@ TEST(ScenarioFuzz, SameSeedSameDocument) {
     const ScenarioDoc b = random_valid(7);
     EXPECT_EQ(resolved_json(a), resolved_json(b));
     EXPECT_EQ(scenario_hash(a), scenario_hash(b));
+}
+
+TEST(ScenarioFuzz, CanonicalHashesArePinned) {
+    const std::uint64_t pins[] = {
+        0x0ba03971041e370aull, 0xd4a4a2296d7474a4ull, 0xb3503194f9d8074dull,
+        0x43cd3d7b7e0c0c6dull, 0x36f6b9b4089bb4a5ull,
+    };
+    for (std::uint64_t seed = 0; seed < std::size(pins); ++seed) {
+        EXPECT_EQ(scenario_hash(random_valid(seed)), pins[seed])
+            << "seed " << seed;
+    }
 }
 
 TEST(ScenarioFuzz, SeedsProduceDistinctValidDocuments) {

@@ -229,6 +229,90 @@ TEST(Protocol, SweepPointsShareKeyspaceWithStandaloneBer) {
     EXPECT_EQ(spec_config_hash(point), spec_config_hash(standalone));
 }
 
+TEST(Protocol, ConfigHashesArePinned) {
+    // spec_config_hash is the config half of the daemon's persistent
+    // cache key; changing any resolved byte orphans every stored entry.
+    const struct {
+        const char* body;
+        std::uint64_t hash;
+    } pins[] = {
+        {R"({"type":"ber","config":{"sj_uipp":0.3,"max_cid":7,
+             "run_model":"worst_case"}})",
+         0xd86a83a8b179dea2ull},
+        {R"({"type":"eye","ber_target":1e-9,"config":{"grid_dx":0.002}})",
+         0x50d32c92cbe3c9dcull},
+        {R"({"type":"sweep","axes":[{"name":"sj_uipp","values":[0.1,0.2]},
+             {"name":"sj_freq_norm","values":[0.01]}]})",
+         0x5a904f86a264aa2bull},
+        {R"({"type":"mc","mc":{"max_evals":50000,"target_rel_err":0.2},
+             "config":{"rj_uirms":0.02}})",
+         0x1a6c5ada3833dbfeull},
+        {R"({"type":"scenario","scenario":{
+             "schema":"gcdr.scenario/v1","name":"pin",
+             "model":{"cid_ref":4},
+             "tasks":[{"kind":"differential","prefix":"d"}]}})",
+         0x615aa80ef7efd452ull},
+    };
+    for (const auto& pin : pins) {
+        EXPECT_EQ(spec_config_hash(parse_ok(pin.body)), pin.hash)
+            << pin.body << "\nresolved: "
+            << resolved_spec_json(parse_ok(pin.body));
+    }
+}
+
+TEST(Protocol, ConfigRejectionsCarryExactErrors) {
+    // parse_job's error strings are the daemon's 400 bodies.
+    const struct {
+        const char* body;
+        const char* error;
+    } cases[] = {
+        {R"({"type":"ber","config":{"max_cid":17}})",
+         "config.max_cid: want integer in [1,16]"},
+        {R"({"type":"ber","config":{"cid_ref":2.5}})",
+         "config.cid_ref: want integer in [1,16]"},
+        {R"({"type":"ber","config":{"max_cid":1e300}})",
+         "config.max_cid: want integer in [1,16]"},
+        {R"({"type":"ber","config":{"run_model":"fast"}})",
+         "config.run_model: want \"weighted\" or \"worst_case\""},
+        {R"({"type":"ber","config":{"run_model":1}})",
+         "config.run_model: want \"weighted\" or \"worst_case\""},
+        {R"({"type":"ber","config":{"sj_uip":0.1}})",
+         "config.sj_uip: unknown field"},
+        {R"({"type":"ber","config":{"sj_uip":"x"}})",
+         "config.sj_uip: want finite number"},
+        {R"({"type":"ber","config":{"sj_uipp":"0.1"}})",
+         "config.sj_uipp: want finite number"},
+        {R"({"type":"ber","config":{"grid_dx":0.5}})",
+         "config.grid_dx: want in (0, 0.1]"},
+        {R"({"type":"ber","config":{"sj_uipp":"x","grid_dx":0.5}})",
+         "config.sj_uipp: want finite number"},
+        {R"({"type":"sweep","axes":[{"name":"max_cid","values":[3]}]})",
+         "axes[].name: unknown config field \"max_cid\""},
+        {R"({"type":"sweep","axes":[{"name":"sj_uip","values":[0.1]}]})",
+         "axes[].name: unknown config field \"sj_uip\""},
+        {R"({"type":"ber","priority":1e300})", "priority: want integer"},
+    };
+    for (const auto& c : cases) {
+        obs::JsonValue v;
+        std::string err;
+        ASSERT_TRUE(obs::json_parse(c.body, v, &err)) << err;
+        JobSpec spec;
+        EXPECT_FALSE(parse_job(v, spec, err)) << c.body;
+        EXPECT_EQ(err, c.error) << c.body;
+    }
+}
+
+TEST(Protocol, IntegralConfigAcceptsAnyNumberSpelling) {
+    // The daemon reads integer knobs as JSON numbers: 5, 5.0 and 5e0 are
+    // the same request (unlike scenario documents, which want 5).
+    const JobSpec a = parse_ok(R"({"type":"ber","config":{"max_cid":5}})");
+    const JobSpec b = parse_ok(R"({"type":"ber","config":{"max_cid":5.0}})");
+    const JobSpec c = parse_ok(R"({"type":"ber","config":{"max_cid":5e0}})");
+    EXPECT_EQ(a.cfg.max_cid, 5);
+    EXPECT_EQ(spec_config_hash(a), spec_config_hash(b));
+    EXPECT_EQ(spec_config_hash(a), spec_config_hash(c));
+}
+
 // --- result cache --------------------------------------------------------
 
 CacheKey key_for(std::uint64_t n) {
