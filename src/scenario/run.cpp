@@ -21,6 +21,7 @@
 #include "obs/sharded.hpp"
 #include "scenario/compile.hpp"
 #include "statmodel/gated_osc_model.hpp"
+#include "statmodel/model_fields.hpp"
 #include "util/rng.hpp"
 
 namespace gcdr::scenario {
@@ -55,8 +56,8 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
         surface = runner.map<double>([&](const exec::SweepPoint& p) {
             statmodel::ModelConfig cfg = base;
             for (std::size_t a = 0; a < task.axes.size(); ++a) {
-                (void)apply_model_field(cfg, task.axes[a].name,
-                                        p.value[a]);
+                (void)statmodel::set_model_field(cfg, task.axes[a].name,
+                                                 p.value[a]);
             }
             eval_shards.inc(exec::ThreadPool::lane_index());
             return statmodel::ber_of(cfg);

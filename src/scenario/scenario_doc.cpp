@@ -4,98 +4,240 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <sstream>
 
 #include "obs/canonical.hpp"
-#include "obs/json.hpp"
+#include "obs/fields.hpp"
+#include "statmodel/model_fields.hpp"
 #include "util/hash.hpp"
 #include "util/mathx.hpp"
 
 namespace gcdr::scenario {
 
-std::string Diagnostic::render() const {
-    std::string out;
-    if (!file.empty()) {
-        out += file;
-        if (line > 0) {
-            out += ':' + std::to_string(line) + ':' + std::to_string(column);
-        }
-        out += ": ";
-    }
-    if (!path.empty()) {
-        out += "at " + path + ": ";
-    }
-    out += message;
-    return out;
-}
-
-const char* task_kind_name(TaskSpec::Kind k) {
-    switch (k) {
-        case TaskSpec::Kind::kBerSurface:
-            return "ber_surface";
-        case TaskSpec::Kind::kBaselineJtol:
-            return "baseline_jtol";
-        case TaskSpec::Kind::kNetlistRun:
-            return "netlist_run";
-        case TaskSpec::Kind::kDifferential:
-            return "differential";
-        case TaskSpec::Kind::kHealthProbe:
-            return "health_probe";
-    }
-    return "?";
-}
-
-bool apply_model_field(statmodel::ModelConfig& cfg, std::string_view name,
-                       double value) {
-    if (name == "sj_freq_norm") {
-        cfg.sj_freq_norm = value;
-    } else if (name == "freq_offset") {
-        cfg.freq_offset = value;
-    } else if (name == "sampling_advance_ui") {
-        cfg.sampling_advance_ui = value;
-    } else if (name == "trigger_mismatch_uirms") {
-        cfg.trigger_mismatch_uirms = value;
-    } else if (name == "grid_dx") {
-        cfg.grid_dx = value;
-    } else if (name == "pdf_prune_floor") {
-        cfg.pdf_prune_floor = value;
-    } else if (name == "dj_uipp") {
-        cfg.spec.dj_uipp = value;
-    } else if (name == "rj_uirms") {
-        cfg.spec.rj_uirms = value;
-    } else if (name == "sj_uipp") {
-        cfg.spec.sj_uipp = value;
-    } else if (name == "ckj_uirms") {
-        cfg.spec.ckj_uirms = value;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 namespace {
 
-/// Validation context: every fail() appends one Diagnostic (with
-/// line/column resolved from the value's byte offset when the source
-/// text is at hand) and keeps going, so a bad document reports as many
-/// problems as one pass can see.
-struct Ctx {
-    std::string_view source;
-    std::string_view file;
-    std::vector<Diagnostic>* diags;
+/// Task kind names, in TaskSpec::Kind order.
+constexpr std::string_view kTaskKinds[] = {
+    "ber_surface", "baseline_jtol", "netlist_run", "differential",
+    "health_probe"};
 
-    void fail(const obs::JsonValue* v, std::string path, std::string msg) {
+/// Bound on expanded sweep values — a generator that asks for more is a
+/// config bug, not a workload.
+constexpr std::size_t kMaxSweepValues = 10'000;
+
+/// The range object of the linspace/logspace/steps sweep generators;
+/// each table's middle row is the generator's third key.
+struct SweepRange {
+    double from = 0.0, to = 0.0, step = 0.0;
+    std::uint64_t points = 0;
+};
+constexpr obs::Field<SweepRange> kSpaceRange[] = {
+    obs::field<&SweepRange::from>("from"),
+    obs::field<&SweepRange::points>("points"),
+    obs::field<&SweepRange::to>("to"),
+};
+constexpr obs::Field<SweepRange> kStepsRange[] = {
+    obs::field<&SweepRange::from>("from"),
+    obs::field<&SweepRange::step>("step"),
+    obs::field<&SweepRange::to>("to"),
+};
+
+/// The scenario front end's FieldReader: every fail() appends one
+/// Diagnostic (with line/column resolved from the value's byte offset
+/// when the source text is at hand) and keeps going, so a bad document
+/// reports as many problems as one pass can see. Integers must be spelled
+/// as integers (5, not 5.0), and number lists accept the sweep generator
+/// forms.
+class Ctx final : public obs::FieldReader {
+public:
+    Ctx(std::string_view source, std::string_view file,
+        std::vector<Diagnostic>& diags)
+        : source_(source), file_(file), diags_(diags) {}
+
+    void fail(const obs::JsonValue& v, const std::string& path,
+              const std::string& msg) override {
         Diagnostic d;
-        d.file = std::string(file);
-        d.path = std::move(path);
-        d.message = std::move(msg);
-        if (v && !source.empty()) {
-            const obs::LineColumn lc = obs::line_column(source, v->offset);
+        d.file = std::string(file_);
+        d.path = path;
+        d.message = msg;
+        if (!source_.empty()) {
+            const obs::LineColumn lc = obs::line_column(source_, v.offset);
             d.line = lc.line;
             d.column = lc.column;
         }
-        diags->push_back(std::move(d));
+        diags_.push_back(std::move(d));
     }
+
+    bool real(const obs::JsonValue& v, const std::string& path,
+              double& out) override {
+        if (!v.is_number() || !std::isfinite(v.number)) {
+            fail(v, path, "want a finite number");
+            return false;
+        }
+        out = v.number;
+        return true;
+    }
+
+    bool count(const obs::JsonValue& v, const std::string& path,
+               const obs::Rule&, std::uint64_t& out) override {
+        const std::uint64_t sentinel = ~std::uint64_t{0};
+        const std::uint64_t got = v.is_number() ? v.uint_or(sentinel)
+                                                : sentinel;
+        if (got == sentinel) {
+            fail(v, path, "want a non-negative integer");
+            return false;
+        }
+        out = got;
+        return true;
+    }
+
+    bool text(const obs::JsonValue& v, const std::string& path,
+              std::string& out) override {
+        if (!v.is_string()) {
+            fail(v, path, "want a string");
+            return false;
+        }
+        out = v.text;
+        return true;
+    }
+
+    bool boolean(const obs::JsonValue& v, const std::string& path,
+                 bool& out) override {
+        if (!v.is_bool()) {
+            fail(v, path, "want true or false");
+            return false;
+        }
+        out = v.boolean;
+        return true;
+    }
+
+    /// Expand one values spec — a literal array or a generator object —
+    /// to an explicit list. Generators call util::linspace/logspace so
+    /// the doubles are bit-identical to the C++ benches that build the
+    /// same grids.
+    bool values(const obs::JsonValue& v, const std::string& path,
+                std::vector<double>& out) override {
+        out.clear();
+        if (v.is_array()) {
+            if (v.items.empty()) {
+                fail(v, path, "want at least one value");
+                return false;
+            }
+            for (std::size_t i = 0; i < v.items.size(); ++i) {
+                double d = 0.0;
+                if (!real(v.items[i], path + "[" + std::to_string(i) + "]",
+                          d)) {
+                    return false;
+                }
+                out.push_back(d);
+            }
+            return true;
+        }
+        if (!v.is_object() || v.members.size() != 1) {
+            fail(v, path,
+                 "want an array of numbers or exactly one of "
+                 "{\"values\"|\"linspace\"|\"logspace\"|\"steps\"}");
+            return false;
+        }
+        const auto& [key, val] = v.members.front();
+        const std::string kp = path + "." + key;
+        if (key == "values") {
+            if (!val.is_array()) {
+                fail(val, kp, "want an array of numbers");
+                return false;
+            }
+            return values(val, kp, out);
+        }
+        if (key == "linspace" || key == "logspace") {
+            SweepRange g;
+            if (!range(val, kp, kSpaceRange, g)) return false;
+            if (g.points < 2 || g.points > kMaxSweepValues) {
+                fail(val, kp + ".points",
+                     "want an integer in [2, " +
+                         std::to_string(kMaxSweepValues) + "]");
+                return false;
+            }
+            if (key == "logspace" && (g.from <= 0.0 || g.to <= 0.0)) {
+                fail(val, kp, "logspace endpoints must be positive");
+                return false;
+            }
+            const auto n = static_cast<std::size_t>(g.points);
+            out = key == "linspace" ? linspace(g.from, g.to, n)
+                                    : logspace(g.from, g.to, n);
+            return true;
+        }
+        if (key == "steps") {
+            SweepRange g;
+            if (!range(val, kp, kStepsRange, g)) return false;
+            if (g.step <= 0.0) {
+                fail(val, kp + ".step",
+                     "sweep step must be positive, got " +
+                         std::to_string(g.step));
+                return false;
+            }
+            if (g.to < g.from) {
+                fail(val, kp, "want from <= to");
+                return false;
+            }
+            // Half-step tolerance on the upper end so from=0.1 to=0.5
+            // step=0.1 yields five points despite binary rounding. The
+            // count stays a double until it is known to fit: a huge span
+            // (or one that overflows to inf) must not wrap through size_t.
+            const double n_points =
+                std::floor((g.to - g.from) / g.step + 0.5 * 1e-9) + 1.0;
+            if (n_points > static_cast<double>(kMaxSweepValues)) {
+                fail(val, kp,
+                     "steps generator yields " +
+                         (std::isfinite(n_points)
+                              ? obs::canonical_number(n_points, {})
+                              : std::string("infinitely many")) +
+                         " points, cap is " +
+                         std::to_string(kMaxSweepValues));
+                return false;
+            }
+            const auto n = static_cast<std::size_t>(n_points);
+            for (std::size_t i = 0; i < n; ++i) {
+                out.push_back(g.from + static_cast<double>(i) * g.step);
+            }
+            return true;
+        }
+        unknown(val, kp, key, {});
+        return false;
+    }
+
+    void unknown(const obs::JsonValue& v, const std::string& path,
+                 const std::string& key, std::string_view kind) override {
+        std::string msg = "unknown key \"" + key + "\"";
+        if (!kind.empty()) msg += " for kind \"" + std::string(kind) + "\"";
+        fail(v, path, msg);
+    }
+
+private:
+    /// Read a generator's range object: every row of `rows` present,
+    /// nothing else.
+    bool range(const obs::JsonValue& v, const std::string& path,
+               std::span<const obs::Field<SweepRange>> rows,
+               SweepRange& out) {
+        if (!v.is_object()) {
+            fail(v, path, "want an object");
+            return false;
+        }
+        const std::size_t before = diags_.size();
+        const obs::Seen seen = obs::read_fields(*this, v, path, rows, out);
+        if (diags_.size() != before) return false;
+        if (seen.present != (std::uint64_t{1} << rows.size()) - 1) {
+            fail(v, path, "want {\"from\", \"to\", \"" +
+                              std::string(rows[1].key) + "\"}");
+            return false;
+        }
+        return true;
+    }
+
+    std::string_view source_;
+    std::string_view file_;
+    std::vector<Diagnostic>& diags_;
 };
 
 bool is_identifier(std::string_view s) {
@@ -108,273 +250,298 @@ bool is_identifier(std::string_view s) {
     return true;
 }
 
-bool read_double(Ctx& ctx, const obs::JsonValue& v, const std::string& path,
-                 double& out) {
-    if (!v.is_number() || !std::isfinite(v.number)) {
-        ctx.fail(&v, path, "want a finite number");
-        return false;
+bool is_metric_prefix(std::string_view p) {
+    if (p.empty() || p.size() > 64) return false;
+    for (char c : p) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                        c == '_' || c == '.';
+        if (!ok) return false;
     }
-    out = v.number;
     return true;
 }
 
-bool read_uint(Ctx& ctx, const obs::JsonValue& v, const std::string& path,
-               std::uint64_t& out) {
-    if (!v.is_number()) {
-        ctx.fail(&v, path, "want a non-negative integer");
+// --- field tables ----------------------------------------------------------
+// One row per JSON field: it parses the field and emits it in resolved_json,
+// so the validator and the canonical form (the scenario hash) stay in step.
+// Rows are in key order, which is the canonical member order.
+
+using obs::at_least;
+using obs::between;
+using obs::field;
+using obs::rule;
+
+constexpr obs::Rule kProbability = rule(obs::inside(0, 1), "want in (0, 1)");
+constexpr obs::Rule kBitBudget = rule(
+    between(1000, 10'000'000), "want an integer in [1000, 10000000]");
+
+constexpr obs::Field<McSpec> kMcFields[] = {
+    field<&McSpec::confidence>("confidence", kProbability),
+    field<&McSpec::max_evals>(
+        "max_evals", rule(at_least(1), "mc.max_evals must be >= 1 (a zero "
+                                       "budget computes nothing)")),
+    field<&McSpec::target_rel_err>(
+        "target_rel_err", rule(obs::above(0), "want a positive number")),
+};
+
+constexpr std::string_view kChannelKind[] = {"channel"};
+constexpr obs::Field<ChannelSpec> kChannelFields[] = {
+    field<&ChannelSpec::ckj_uirms>("ckj_uirms",
+                                   rule(at_least(0), "want >= 0")),
+    field<&ChannelSpec::f_osc_hz>("f_osc_hz",
+                                  rule(obs::above(0), "want > 0")),
+    field<&ChannelSpec::improved_sampling>("improved_sampling"),
+    obs::tag<ChannelSpec>("kind", kChannelKind),
+};
+
+constexpr std::string_view kMonitorKind[] = {"monitor"};
+constexpr obs::Field<MonitorSpec> kMonitorFields[] = {
+    obs::tag<MonitorSpec>("kind", kMonitorKind),
+};
+
+bool read_pattern(obs::FieldReader& r, const obs::Field<SourceSpec>&,
+                  const obs::JsonValue& v, const std::string& path,
+                  SourceSpec& s) {
+    if (!v.is_array() || v.items.empty() || v.items.size() > 4096) {
+        r.fail(v, path, "want an array of 0/1 bits, size [1, 4096]");
         return false;
     }
-    const std::uint64_t sentinel = ~std::uint64_t{0};
-    const std::uint64_t got = v.uint_or(sentinel);
-    if (got == sentinel) {
-        ctx.fail(&v, path, "want a non-negative integer");
-        return false;
-    }
-    out = got;
-    return true;
-}
-
-bool read_bool(Ctx& ctx, const obs::JsonValue& v, const std::string& path,
-               bool& out) {
-    if (!v.is_bool()) {
-        ctx.fail(&v, path, "want true or false");
-        return false;
-    }
-    out = v.boolean;
-    return true;
-}
-
-bool read_string(Ctx& ctx, const obs::JsonValue& v, const std::string& path,
-                 std::string& out) {
-    if (!v.is_string()) {
-        ctx.fail(&v, path, "want a string");
-        return false;
-    }
-    out = v.text;
-    return true;
-}
-
-/// Bound on expanded sweep values — a generator that asks for more is a
-/// config bug, not a workload.
-constexpr std::size_t kMaxSweepValues = 10'000;
-
-/// Parse a from/to range object shared by linspace/logspace/steps.
-bool read_range(Ctx& ctx, const obs::JsonValue& v, const std::string& path,
-                double& from, double& to, double* step,
-                std::uint64_t* points) {
-    if (!v.is_object()) {
-        ctx.fail(&v, path, "want an object");
-        return false;
-    }
-    bool ok = true, saw_from = false, saw_to = false;
-    bool saw_third = false;
-    for (const auto& [key, val] : v.members) {
-        const std::string kp = path + "." + key;
-        if (key == "from") {
-            saw_from = read_double(ctx, val, kp, from);
-            ok = ok && saw_from;
-        } else if (key == "to") {
-            saw_to = read_double(ctx, val, kp, to);
-            ok = ok && saw_to;
-        } else if (step && key == "step") {
-            saw_third = read_double(ctx, val, kp, *step);
-            ok = ok && saw_third;
-        } else if (points && key == "points") {
-            saw_third = read_uint(ctx, val, kp, *points);
-            ok = ok && saw_third;
-        } else {
-            ctx.fail(&val, kp, "unknown key \"" + key + "\"");
-            ok = false;
-        }
-    }
-    if (ok && (!saw_from || !saw_to || !saw_third)) {
-        ctx.fail(&v, path,
-                 std::string("want {\"from\", \"to\", ") +
-                     (step ? "\"step\"}" : "\"points\"}"));
-        ok = false;
-    }
-    return ok;
-}
-
-/// Expand one values spec — a literal array or a generator object — to an
-/// explicit list. Generators call util::linspace/logspace so the doubles
-/// are bit-identical to the C++ benches that build the same grids.
-bool read_values(Ctx& ctx, const obs::JsonValue& v, const std::string& path,
-                 std::vector<double>& out) {
-    out.clear();
-    if (v.is_array()) {
-        if (v.items.empty()) {
-            ctx.fail(&v, path, "want at least one value");
+    s.pattern.clear();
+    for (std::size_t b = 0; b < v.items.size(); ++b) {
+        const obs::JsonValue& bit = v.items[b];
+        const std::uint64_t got = bit.uint_or(2);
+        if (!bit.is_number() || got > 1) {
+            r.fail(bit, path + "[" + std::to_string(b) + "]",
+                   "pattern bits must be 0 or 1");
             return false;
         }
-        for (std::size_t i = 0; i < v.items.size(); ++i) {
-            double d = 0.0;
-            if (!read_double(ctx, v.items[i],
-                             path + "[" + std::to_string(i) + "]", d)) {
-                return false;
+        s.pattern.push_back(static_cast<int>(got));
+    }
+    return true;
+}
+
+void write_pattern(std::string& out, const obs::Field<SourceSpec>&,
+                   const SourceSpec& s) {
+    out += '[';
+    for (std::size_t b = 0; b < s.pattern.size(); ++b) {
+        if (b) out += ',';
+        out += s.pattern[b] ? '1' : '0';
+    }
+    out += ']';
+}
+
+// A pattern source replaces the PRBS stream, so the canonical form holds
+// exactly one of the two generator descriptions.
+bool is_prbs_source(const SourceSpec& s) { return s.pattern.empty(); }
+bool is_pattern_source(const SourceSpec& s) { return !s.pattern.empty(); }
+
+constexpr std::string_view kSourceKind[] = {"source"};
+constexpr std::string_view kPrbsOrders[] = {"7", "9", "15", "23", "31"};
+constexpr obs::Field<SourceSpec> kSourceFields[] = {
+    field<&SourceSpec::bits>(
+        "bits",
+        rule(between(1, 10'000'000), "want an integer in [1, 10000000]"),
+        is_prbs_source),
+    obs::tag<SourceSpec>("kind", kSourceKind),
+    {"pattern", read_pattern, write_pattern, {}, is_pattern_source},
+    field<&SourceSpec::prbs>(
+        "prbs",
+        obs::one_of(kPrbsOrders, "want a PRBS order: 7, 9, 15, 23 or 31"),
+        is_prbs_source),
+    field<&SourceSpec::rate_offset>(
+        "rate_offset", rule(between(-0.5, 0.5), "want in [-0.5, 0.5]"),
+        obs::unless_default<&SourceSpec::rate_offset>),
+    field<&SourceSpec::repeat>(
+        "repeat", rule(between(1, 100'000), "want an integer in [1, 100000]"),
+        is_pattern_source),
+    field<&SourceSpec::start_ns>("start_ns", rule(at_least(0), "want >= 0")),
+};
+constexpr std::uint64_t kBitsBit =
+    obs::field_bit<SourceSpec>(kSourceFields, "bits");
+constexpr std::uint64_t kPrbsBit =
+    obs::field_bit<SourceSpec>(kSourceFields, "prbs");
+constexpr std::uint64_t kRepeatBit =
+    obs::field_bit<SourceSpec>(kSourceFields, "repeat");
+
+constexpr std::string_view kMasks[] = {"infiniband_2g5", "none"};
+constexpr obs::Field<JtolSpec> kJtolFields[] = {
+    field<&JtolSpec::ber_target>("ber_target", kProbability),
+    field<&JtolSpec::freqs>("freqs"),
+    field<&JtolSpec::mask>(
+        "mask", obs::one_of(kMasks, "want \"infiniband_2g5\" or \"none\"")),
+};
+constexpr std::uint64_t kFreqsBit =
+    obs::field_bit<JtolSpec>(kJtolFields, "freqs");
+
+bool read_axes(obs::FieldReader& r, const obs::Field<TaskSpec>&,
+               const obs::JsonValue& v, const std::string& path,
+               TaskSpec& task) {
+    if (!v.is_array() || v.items.empty()) {
+        r.fail(v, path, "want a non-empty array of axes");
+        return false;
+    }
+    for (std::size_t i = 0; i < v.items.size(); ++i) {
+        const obs::JsonValue& av = v.items[i];
+        const std::string ap = path + "[" + std::to_string(i) + "]";
+        if (!av.is_object()) {
+            r.fail(av, ap, "want an object");
+            continue;
+        }
+        AxisSpec axis;
+        for (const auto& [ak, avv] : av.members) {
+            if (ak == "name") {
+                statmodel::ModelConfig probe;
+                if (r.text(avv, ap + ".name", axis.name) &&
+                    !statmodel::set_model_field(probe, axis.name, 0.0)) {
+                    r.fail(avv, ap + ".name",
+                           "unknown model field \"" + axis.name + "\"");
+                }
+            } else if (ak == "values" || ak == "linspace" ||
+                       ak == "logspace" || ak == "steps") {
+                // Re-wrap as a one-member object so values() sees the
+                // generator form.
+                obs::JsonValue wrap;
+                wrap.type = obs::JsonValue::Type::kObject;
+                wrap.offset = avv.offset;
+                wrap.members.emplace_back(ak, avv);
+                (void)r.values(wrap, ap, axis.values);
+            } else {
+                r.unknown(avv, ap + "." + ak, ak, {});
             }
-            out.push_back(d);
         }
-        return true;
+        if (axis.name.empty()) {
+            r.fail(av, ap, "axis needs a \"name\"");
+        } else if (axis.values.empty()) {
+            r.fail(av, ap, "axis needs values (literal or generator)");
+        } else {
+            task.axes.push_back(std::move(axis));
+        }
     }
-    if (!v.is_object() || v.members.size() != 1) {
-        ctx.fail(&v, path,
-                 "want an array of numbers or exactly one of "
-                 "{\"values\"|\"linspace\"|\"logspace\"|\"steps\"}");
+    return true;
+}
+
+void write_axes(std::string& out, const obs::Field<TaskSpec>&,
+                const TaskSpec& task) {
+    out += '[';
+    for (std::size_t i = 0; i < task.axes.size(); ++i) {
+        if (i) out += ',';
+        out += "{\"name\":";
+        obs::write_string(out, task.axes[i].name);
+        out += ",\"values\":";
+        obs::write_numbers(out, task.axes[i].values);
+        out += '}';
+    }
+    out += ']';
+}
+
+bool read_jtol(obs::FieldReader& r, const obs::Field<TaskSpec>&,
+               const obs::JsonValue& v, const std::string& path,
+               TaskSpec& task) {
+    if (!v.is_object()) {
+        r.fail(v, path, "want an object");
         return false;
     }
-    const auto& [key, val] = v.members.front();
-    const std::string kp = path + "." + key;
-    if (key == "values") {
-        if (!val.is_array()) {
-            ctx.fail(&val, kp, "want an array of numbers");
-            return false;
-        }
-        return read_values(ctx, val, kp, out);
+    task.has_jtol = true;
+    const obs::Seen seen =
+        obs::read_fields(r, v, path, kJtolFields, task.jtol);
+    if (!(seen.parsed & kFreqsBit)) {
+        r.fail(v, path, "jtol needs \"freqs\"");
     }
-    if (key == "linspace" || key == "logspace") {
-        double from = 0.0, to = 0.0;
-        std::uint64_t points = 0;
-        if (!read_range(ctx, val, kp, from, to, nullptr, &points)) {
-            return false;
-        }
-        if (points < 2 || points > kMaxSweepValues) {
-            ctx.fail(&val, kp + ".points",
-                     "want an integer in [2, " +
-                         std::to_string(kMaxSweepValues) + "]");
-            return false;
-        }
-        if (key == "logspace" && (from <= 0.0 || to <= 0.0)) {
-            ctx.fail(&val, kp, "logspace endpoints must be positive");
-            return false;
-        }
-        out = key == "linspace"
-                  ? linspace(from, to, static_cast<std::size_t>(points))
-                  : logspace(from, to, static_cast<std::size_t>(points));
-        return true;
-    }
-    if (key == "steps") {
-        double from = 0.0, to = 0.0, step = 0.0;
-        if (!read_range(ctx, val, kp, from, to, &step, nullptr)) {
-            return false;
-        }
-        if (step <= 0.0) {
-            ctx.fail(&val, kp + ".step",
-                     "sweep step must be positive, got " +
-                         std::to_string(step));
-            return false;
-        }
-        if (to < from) {
-            ctx.fail(&val, kp, "want from <= to");
-            return false;
-        }
-        // Half-step tolerance on the upper end so from=0.1 to=0.5
-        // step=0.1 yields five points despite binary rounding.
-        // The count stays a double until it is known to fit: a huge span
-        // (or one that overflows to inf) must not wrap through size_t.
-        const double n_points =
-            std::floor((to - from) / step + 0.5 * 1e-9) + 1.0;
-        if (n_points > static_cast<double>(kMaxSweepValues)) {
-            ctx.fail(&val, kp,
-                     "steps generator yields " +
-                         (std::isfinite(n_points)
-                              ? obs::canonical_number(n_points, {})
-                              : std::string("infinitely many")) +
-                         " points, cap is " +
-                         std::to_string(kMaxSweepValues));
-            return false;
-        }
-        const auto n = static_cast<std::size_t>(n_points);
-        for (std::size_t i = 0; i < n; ++i) {
-            out.push_back(from + static_cast<double>(i) * step);
-        }
-        return true;
-    }
-    ctx.fail(&val, kp, "unknown key \"" + key + "\"");
-    return false;
+    return true;
 }
+
+void write_jtol(std::string& out, const obs::Field<TaskSpec>&,
+                const TaskSpec& task) {
+    obs::write_fields(out, kJtolFields, task.jtol);
+}
+
+bool has_jtol(const TaskSpec& task) { return task.has_jtol; }
+
+constexpr obs::Field<TaskSpec> kind_row(TaskSpec::Kind k) {
+    return obs::tag<TaskSpec>(
+        "kind", std::span<const std::string_view, 1>(
+                    &kTaskKinds[static_cast<std::size_t>(k)], 1));
+}
+
+constexpr obs::Field<TaskSpec> kPrefixRow = field<&TaskSpec::prefix>(
+    "prefix", {.accept = is_metric_prefix,
+               .message = "metric prefix must be [a-z0-9_.]{1,64}"});
+
+constexpr obs::Field<TaskSpec> kBerSurfaceFields[] = {
+    {"axes", read_axes, write_axes},
+    {"jtol", read_jtol, write_jtol, {}, has_jtol},
+    kind_row(TaskSpec::Kind::kBerSurface),
+    kPrefixRow,
+};
+
+constexpr obs::Field<TaskSpec> kBaselineJtolFields[] = {
+    field<&TaskSpec::amp_cap>("amp_cap", rule(obs::above(0), "want > 0")),
+    field<&TaskSpec::ber_target>("ber_target", kProbability),
+    field<&TaskSpec::jtol_bits>("jtol_bits", kBitBudget),
+    field<&TaskSpec::jtol_freqs>("jtol_freqs"),
+    kind_row(TaskSpec::Kind::kBaselineJtol),
+    field<&TaskSpec::offset_bits>("offset_bits", kBitBudget),
+    // Optional sweep: absent from the canonical form while empty.
+    field<&TaskSpec::offsets>("offsets", {},
+                              obs::unless_default<&TaskSpec::offsets>),
+    kPrefixRow,
+};
+
+constexpr obs::Field<TaskSpec> kNetlistRunFields[] = {
+    kind_row(TaskSpec::Kind::kNetlistRun),
+    kPrefixRow,
+};
+
+constexpr obs::Field<TaskSpec> kDifferentialFields[] = {
+    field<&TaskSpec::behavioral_min_ber>("behavioral_min_ber", kProbability),
+    field<&TaskSpec::behavioral_runs>(
+        "behavioral_runs", rule(obs::at_most(1'000'000), "want <= 1000000")),
+    field<&TaskSpec::behavioral_tau>("behavioral_tau",
+                                     rule(at_least(1), "want >= 1")),
+    kind_row(TaskSpec::Kind::kDifferential),
+    kPrefixRow,
+};
+
+constexpr obs::Field<TaskSpec> kHealthProbeFields[] = {
+    field<&TaskSpec::frames>(
+        "frames", rule(between(1, 1000), "want an integer in [1, 1000]")),
+    kind_row(TaskSpec::Kind::kHealthProbe),
+    kPrefixRow,
+};
+
+/// Field table of each task kind, in TaskSpec::Kind order.
+constexpr std::span<const obs::Field<TaskSpec>> kTaskFields[] = {
+    kBerSurfaceFields, kBaselineJtolFields, kNetlistRunFields,
+    kDifferentialFields, kHealthProbeFields};
+
+static_assert(obs::keys_sorted<McSpec>(kMcFields));
+static_assert(obs::keys_sorted<ChannelSpec>(kChannelFields));
+static_assert(obs::keys_sorted<SourceSpec>(kSourceFields));
+static_assert(obs::keys_sorted<JtolSpec>(kJtolFields));
+static_assert(obs::keys_sorted<TaskSpec>(kBerSurfaceFields));
+static_assert(obs::keys_sorted<TaskSpec>(kBaselineJtolFields));
+static_assert(obs::keys_sorted<TaskSpec>(kDifferentialFields));
+static_assert(obs::keys_sorted<TaskSpec>(kHealthProbeFields));
+
+std::span<const obs::Field<TaskSpec>> task_fields(TaskSpec::Kind k) {
+    return kTaskFields[static_cast<std::size_t>(k)];
+}
+
+// --- model -----------------------------------------------------------------
 
 void parse_model(Ctx& ctx, const obs::JsonValue& v,
                  statmodel::ModelConfig& cfg) {
     if (!v.is_object()) {
-        ctx.fail(&v, "model", "want an object");
+        ctx.fail(v, "model", "want an object");
         return;
     }
-    for (const auto& [key, val] : v.members) {
-        const std::string kp = "model." + key;
-        if (key == "max_cid" || key == "cid_ref") {
-            std::uint64_t n = 0;
-            if (read_uint(ctx, val, kp, n)) {
-                if (n < 1 || n > 16) {
-                    ctx.fail(&val, kp, "want an integer in [1, 16]");
-                } else {
-                    (key == "max_cid" ? cfg.max_cid : cfg.cid_ref) =
-                        static_cast<int>(n);
-                }
-            }
-        } else if (key == "run_model") {
-            std::string m;
-            if (read_string(ctx, val, kp, m)) {
-                if (m == "weighted") {
-                    cfg.run_model = statmodel::RunModel::kWeighted;
-                } else if (m == "worst_case") {
-                    cfg.run_model = statmodel::RunModel::kWorstCase;
-                } else {
-                    ctx.fail(&val, kp,
-                             "want \"weighted\" or \"worst_case\"");
-                }
-            }
-        } else {
-            double d = 0.0;
-            if (!read_double(ctx, val, kp, d)) continue;
-            statmodel::ModelConfig probe;
-            if (!apply_model_field(probe, key, d)) {
-                ctx.fail(&val, kp, "unknown key \"" + key + "\"");
-                continue;
-            }
-            (void)apply_model_field(cfg, key, d);
-        }
-    }
-    if (cfg.grid_dx <= 0.0 || cfg.grid_dx > 0.1) {
-        ctx.fail(&v, "model.grid_dx", "want in (0, 0.1]");
-    }
+    statmodel::read_model_config(ctx, v, "model", cfg);
     if (cfg.spec.dj_uipp < 0.0 || cfg.spec.rj_uirms < 0.0 ||
         cfg.spec.sj_uipp < 0.0 || cfg.spec.ckj_uirms < 0.0) {
-        ctx.fail(&v, "model", "jitter budget terms must be >= 0");
+        ctx.fail(v, "model", "jitter budget terms must be >= 0");
     }
 }
 
-void parse_mc(Ctx& ctx, const obs::JsonValue& v, McSpec& mc) {
-    if (!v.is_object()) {
-        ctx.fail(&v, "mc", "want an object");
-        return;
-    }
-    for (const auto& [key, val] : v.members) {
-        const std::string kp = "mc." + key;
-        if (key == "max_evals") {
-            if (read_uint(ctx, val, kp, mc.max_evals) &&
-                mc.max_evals == 0) {
-                ctx.fail(&val, kp,
-                         "mc.max_evals must be >= 1 (a zero budget "
-                         "computes nothing)");
-            }
-        } else if (key == "target_rel_err") {
-            if (read_double(ctx, val, kp, mc.target_rel_err) &&
-                mc.target_rel_err <= 0.0) {
-                ctx.fail(&val, kp, "want a positive number");
-            }
-        } else if (key == "confidence") {
-            if (read_double(ctx, val, kp, mc.confidence) &&
-                (mc.confidence <= 0.0 || mc.confidence >= 1.0)) {
-                ctx.fail(&val, kp, "want in (0, 1)");
-            }
-        } else {
-            ctx.fail(&val, kp, "unknown key \"" + key + "\"");
-        }
-    }
-}
-
-// --- netlist -------------------------------------------------------------
+// --- netlist ---------------------------------------------------------------
 
 struct PortRef {
     std::string inst, port;
@@ -392,9 +559,20 @@ bool split_endpoint(const std::string& text, PortRef& out) {
 
 enum class InstKind { kSource, kChannel, kMonitor };
 
+/// Each instance kind's ports and their direction.
+struct Port {
+    InstKind kind;
+    std::string_view name;
+    bool output;
+};
+constexpr Port kPorts[] = {{InstKind::kSource, "out", true},
+                           {InstKind::kChannel, "din", false},
+                           {InstKind::kChannel, "dout", true},
+                           {InstKind::kMonitor, "in", false}};
+
 void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
     if (!v.is_object()) {
-        ctx.fail(&v, "netlist", "want an object");
+        ctx.fail(v, "netlist", "want an object");
         return;
     }
     const obs::JsonValue* instances = nullptr;
@@ -405,11 +583,11 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
         } else if (key == "wires") {
             wires = &val;
         } else {
-            ctx.fail(&val, "netlist." + key, "unknown key \"" + key + "\"");
+            ctx.unknown(val, "netlist." + key, key, {});
         }
     }
     if (!instances || !instances->is_object()) {
-        ctx.fail(instances ? instances : &v, "netlist.instances",
+        ctx.fail(instances ? *instances : v, "netlist.instances",
                  "want an object of named instances");
         return;
     }
@@ -420,8 +598,7 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
     for (const auto& [name, inst] : instances->members) {
         const std::string ip = "netlist.instances." + name;
         if (!is_identifier(name)) {
-            ctx.fail(&inst, ip,
-                     "instance name must be [A-Za-z0-9_]{1,64}");
+            ctx.fail(inst, ip, "instance name must be [A-Za-z0-9_]{1,64}");
             continue;
         }
         bool dup = false;
@@ -430,11 +607,11 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
             if (seen == name) dup = true;
         }
         if (dup) {
-            ctx.fail(&inst, ip, "duplicate instance \"" + name + "\"");
+            ctx.fail(inst, ip, "duplicate instance \"" + name + "\"");
             continue;
         }
         if (!inst.is_object()) {
-            ctx.fail(&inst, ip, "want an object");
+            ctx.fail(inst, ip, "want an object");
             continue;
         }
         const obs::JsonValue* kindv = inst.find("kind");
@@ -442,78 +619,15 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
         if (kind == "source") {
             SourceSpec s;
             s.name = name;
-            bool saw_bits = false, saw_prbs = false, saw_repeat = false;
-            for (const auto& [key, val] : inst.members) {
-                const std::string kp = ip + "." + key;
-                if (key == "kind") continue;
-                if (key == "bits") {
-                    saw_bits = true;
-                    if (read_uint(ctx, val, kp, s.bits) &&
-                        (s.bits < 1 || s.bits > 10'000'000)) {
-                        ctx.fail(&val, kp,
-                                 "want an integer in [1, 10000000]");
-                    }
-                } else if (key == "prbs") {
-                    saw_prbs = true;
-                    std::uint64_t order = 0;
-                    if (read_uint(ctx, val, kp, order)) {
-                        if (order != 7 && order != 9 && order != 15 &&
-                            order != 23 && order != 31) {
-                            ctx.fail(&val, kp,
-                                     "want a PRBS order: 7, 9, 15, 23 or "
-                                     "31");
-                        } else {
-                            s.prbs = static_cast<int>(order);
-                        }
-                    }
-                } else if (key == "start_ns") {
-                    if (read_double(ctx, val, kp, s.start_ns) &&
-                        s.start_ns < 0.0) {
-                        ctx.fail(&val, kp, "want >= 0");
-                    }
-                } else if (key == "pattern") {
-                    if (!val.is_array() || val.items.empty() ||
-                        val.items.size() > 4096) {
-                        ctx.fail(&val, kp,
-                                 "want an array of 0/1 bits, size "
-                                 "[1, 4096]");
-                        continue;
-                    }
-                    s.pattern.clear();
-                    for (std::size_t b = 0; b < val.items.size(); ++b) {
-                        const obs::JsonValue& bit = val.items[b];
-                        const std::uint64_t got = bit.uint_or(2);
-                        if (!bit.is_number() || got > 1) {
-                            ctx.fail(&bit,
-                                     kp + "[" + std::to_string(b) + "]",
-                                     "pattern bits must be 0 or 1");
-                            break;
-                        }
-                        s.pattern.push_back(static_cast<int>(got));
-                    }
-                } else if (key == "repeat") {
-                    saw_repeat = true;
-                    if (read_uint(ctx, val, kp, s.repeat) &&
-                        (s.repeat < 1 || s.repeat > 100'000)) {
-                        ctx.fail(&val, kp,
-                                 "want an integer in [1, 100000]");
-                    }
-                } else if (key == "rate_offset") {
-                    if (read_double(ctx, val, kp, s.rate_offset) &&
-                        std::fabs(s.rate_offset) > 0.5) {
-                        ctx.fail(&val, kp, "want in [-0.5, 0.5]");
-                    }
-                } else {
-                    ctx.fail(&val, kp, "unknown key \"" + key + "\"");
-                }
-            }
-            if (!s.pattern.empty() && (saw_bits || saw_prbs)) {
-                ctx.fail(&inst, ip,
+            const obs::Seen seen =
+                obs::read_fields(ctx, inst, ip, kSourceFields, s);
+            if (!s.pattern.empty() && (seen.present & (kBitsBit | kPrbsBit))) {
+                ctx.fail(inst, ip,
                          "\"pattern\" replaces the PRBS stream; it "
                          "cannot be combined with \"bits\" or \"prbs\"");
             }
-            if (saw_repeat && s.pattern.empty()) {
-                ctx.fail(&inst, ip,
+            if ((seen.present & kRepeatBit) && s.pattern.empty()) {
+                ctx.fail(inst, ip,
                          "\"repeat\" only applies to a \"pattern\" "
                          "source");
             }
@@ -522,44 +636,22 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
         } else if (kind == "channel") {
             ChannelSpec c;
             c.name = name;
-            for (const auto& [key, val] : inst.members) {
-                const std::string kp = ip + "." + key;
-                if (key == "kind") continue;
-                if (key == "f_osc_hz") {
-                    if (read_double(ctx, val, kp, c.f_osc_hz) &&
-                        c.f_osc_hz <= 0.0) {
-                        ctx.fail(&val, kp, "want > 0");
-                    }
-                } else if (key == "ckj_uirms") {
-                    if (read_double(ctx, val, kp, c.ckj_uirms) &&
-                        c.ckj_uirms < 0.0) {
-                        ctx.fail(&val, kp, "want >= 0");
-                    }
-                } else if (key == "improved_sampling") {
-                    (void)read_bool(ctx, val, kp, c.improved_sampling);
-                } else {
-                    ctx.fail(&val, kp, "unknown key \"" + key + "\"");
-                }
-            }
+            (void)obs::read_fields(ctx, inst, ip, kChannelFields, c);
             net.channels.push_back(std::move(c));
             kinds.emplace_back(name, InstKind::kChannel);
         } else if (kind == "monitor") {
             MonitorSpec m;
             m.name = name;
-            for (const auto& [key, val] : inst.members) {
-                if (key == "kind") continue;
-                ctx.fail(&val, ip + "." + key,
-                         "unknown key \"" + key + "\"");
-            }
+            (void)obs::read_fields(ctx, inst, ip, kMonitorFields, m);
             net.monitors.push_back(std::move(m));
             kinds.emplace_back(name, InstKind::kMonitor);
         } else {
-            ctx.fail(kindv ? kindv : &inst, ip + ".kind",
+            ctx.fail(kindv ? *kindv : inst, ip + ".kind",
                      "want \"source\", \"channel\" or \"monitor\"");
         }
     }
     if (net.channels.empty()) {
-        ctx.fail(instances, "netlist.instances",
+        ctx.fail(*instances, "netlist.instances",
                  "netlist needs at least one channel instance");
     }
 
@@ -570,7 +662,7 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
         const ChannelSpec& b = net.channels[i];
         if (a.f_osc_hz != b.f_osc_hz || a.ckj_uirms != b.ckj_uirms ||
             a.improved_sampling != b.improved_sampling) {
-            ctx.fail(instances, "netlist.instances." + b.name,
+            ctx.fail(*instances, "netlist.instances." + b.name,
                      "channel parameters must match across instances "
                      "(the multichannel receiver shares one channel "
                      "template); \"" +
@@ -578,8 +670,7 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
         }
     }
 
-    auto kind_of = [&](const std::string& name,
-                       InstKind& out) {
+    auto kind_of = [&](const std::string& name, InstKind& out) {
         for (const auto& [seen, k] : kinds) {
             if (seen == name) {
                 out = k;
@@ -589,10 +680,49 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
         return false;
     };
 
+    // Resolve one wire endpoint: "from" must name an output port, "to" an
+    // input port.
+    auto endpoint = [&](const obs::JsonValue& val, const std::string& kp,
+                        bool from, std::string& inst, std::string& port) {
+        std::string text;
+        if (!ctx.text(val, kp, text)) return false;
+        PortRef ref;
+        if (!split_endpoint(text, ref)) {
+            ctx.fail(val, kp, "want \"instance.port\", got \"" + text + "\"");
+            return false;
+        }
+        InstKind k{};
+        if (!kind_of(ref.inst, k)) {
+            ctx.fail(val, kp, "unknown instance \"" + ref.inst + "\"");
+            return false;
+        }
+        const Port* p = std::find_if(
+            std::begin(kPorts), std::end(kPorts),
+            [&](const Port& q) { return q.kind == k && q.name == ref.port; });
+        if (p == std::end(kPorts)) {
+            ctx.fail(val, kp,
+                     "instance \"" + ref.inst + "\" has no port \"" +
+                         ref.port + "\"");
+            return false;
+        }
+        if (p->output != from) {
+            ctx.fail(val, kp,
+                     "\"" + ref.port +
+                         (from ? "\" is an input port; a wire's \"from\" "
+                                 "must be an output"
+                               : "\" is an output port; a wire's \"to\" "
+                                 "must be an input"));
+            return false;
+        }
+        inst = ref.inst;
+        port = ref.port;
+        return true;
+    };
+
     // Wires: "inst.port" endpoints, output -> input only.
     if (wires) {
         if (!wires->is_array()) {
-            ctx.fail(wires, "netlist.wires", "want an array");
+            ctx.fail(*wires, "netlist.wires", "want an array");
             return;
         }
         for (std::size_t i = 0; i < wires->items.size(); ++i) {
@@ -600,7 +730,7 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
             const std::string wp =
                 "netlist.wires[" + std::to_string(i) + "]";
             if (!wv.is_object()) {
-                ctx.fail(&wv, wp, "want an object");
+                ctx.fail(wv, wp, "want an object");
                 continue;
             }
             WireSpec w;
@@ -609,76 +739,22 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
             for (const auto& [key, val] : wv.members) {
                 const std::string kp = wp + "." + key;
                 if (key == "from" || key == "to") {
-                    std::string text;
-                    if (!read_string(ctx, val, kp, text)) {
-                        ok = false;
-                        continue;
-                    }
-                    PortRef ref;
-                    if (!split_endpoint(text, ref)) {
-                        ctx.fail(&val, kp,
-                                 "want \"instance.port\", got \"" + text +
-                                     "\"");
-                        ok = false;
-                        continue;
-                    }
-                    InstKind k{};
-                    if (!kind_of(ref.inst, k)) {
-                        ctx.fail(&val, kp,
-                                 "unknown instance \"" + ref.inst + "\"");
-                        ok = false;
-                        continue;
-                    }
-                    // Port tables per kind; from must name an output, to
-                    // an input.
-                    const bool is_output =
-                        (k == InstKind::kSource && ref.port == "out") ||
-                        (k == InstKind::kChannel && ref.port == "dout");
-                    const bool is_input =
-                        (k == InstKind::kChannel && ref.port == "din") ||
-                        (k == InstKind::kMonitor && ref.port == "in");
-                    if (!is_output && !is_input) {
-                        ctx.fail(&val, kp,
-                                 "instance \"" + ref.inst +
-                                     "\" has no port \"" + ref.port +
-                                     "\"");
-                        ok = false;
-                        continue;
-                    }
-                    if (key == "from") {
-                        if (!is_output) {
-                            ctx.fail(&val, kp,
-                                     "\"" + ref.port +
-                                         "\" is an input port; a wire's "
-                                         "\"from\" must be an output");
-                            ok = false;
-                            continue;
-                        }
-                        w.from_inst = ref.inst;
-                        w.from_port = ref.port;
-                        saw_from = true;
+                    const bool from = key == "from";
+                    if (endpoint(val, kp, from, from ? w.from_inst : w.to_inst,
+                                 from ? w.from_port : w.to_port)) {
+                        (from ? saw_from : saw_to) = true;
                     } else {
-                        if (!is_input) {
-                            ctx.fail(&val, kp,
-                                     "\"" + ref.port +
-                                         "\" is an output port; a wire's "
-                                         "\"to\" must be an input");
-                            ok = false;
-                            continue;
-                        }
-                        w.to_inst = ref.inst;
-                        w.to_port = ref.port;
-                        saw_to = true;
+                        ok = false;
                     }
                 } else if (key == "skew_ps") {
-                    ok = read_double(ctx, val, kp, w.skew_ps) && ok;
+                    ok = ctx.real(val, kp, w.skew_ps) && ok;
                 } else {
-                    ctx.fail(&val, kp, "unknown key \"" + key + "\"");
+                    ctx.unknown(val, kp, key, {});
                     ok = false;
                 }
             }
             if (ok && (!saw_from || !saw_to)) {
-                ctx.fail(&wv, wp, "want both \"from\" and \"to\"");
+                ctx.fail(wv, wp, "want both \"from\" and \"to\"");
                 ok = false;
             }
             if (ok) {
@@ -688,12 +764,12 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
                 (void)kind_of(w.from_inst, fk);
                 (void)kind_of(w.to_inst, tk);
                 if (fk == InstKind::kSource && tk != InstKind::kChannel) {
-                    ctx.fail(&wv, wp,
+                    ctx.fail(wv, wp,
                              "a source output must drive a channel din");
                     ok = false;
                 } else if (fk == InstKind::kChannel &&
                            tk != InstKind::kMonitor) {
-                    ctx.fail(&wv, wp,
+                    ctx.fail(wv, wp,
                              "a channel dout must drive a monitor in");
                     ok = false;
                 }
@@ -704,45 +780,35 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
 
     // Connectivity: every channel din and monitor in driven exactly once,
     // every source output driving at least one channel.
-    for (const ChannelSpec& c : net.channels) {
-        int drivers = 0;
-        for (const WireSpec& w : net.wires) {
-            if (w.to_inst == c.name && w.to_port == "din") ++drivers;
-        }
+    const obs::JsonValue& wires_at = wires ? *wires : *instances;
+    auto check_driven = [&](const char* what, const std::string& name,
+                            const std::string& port) {
+        const auto drivers = std::count_if(
+            net.wires.begin(), net.wires.end(), [&](const WireSpec& w) {
+                return w.to_inst == name && w.to_port == port;
+            });
+        const std::string input =
+            std::string(what) + " \"" + name + "\" input " + port;
         if (drivers == 0) {
-            ctx.fail(wires ? wires : instances, "netlist.wires",
-                     "channel \"" + c.name +
-                         "\" input din is not driven by any wire");
+            ctx.fail(wires_at, "netlist.wires",
+                     input + " is not driven by any wire");
         } else if (drivers > 1) {
-            ctx.fail(wires, "netlist.wires",
-                     "channel \"" + c.name +
-                         "\" input din is driven more than once");
+            ctx.fail(wires_at, "netlist.wires",
+                     input + " is driven more than once");
         }
+    };
+    for (const ChannelSpec& c : net.channels) {
+        check_driven("channel", c.name, "din");
     }
     for (const MonitorSpec& m : net.monitors) {
-        int drivers = 0;
-        for (const WireSpec& w : net.wires) {
-            if (w.to_inst == m.name && w.to_port == "in") ++drivers;
-        }
-        if (drivers == 0) {
-            ctx.fail(wires ? wires : instances, "netlist.wires",
-                     "monitor \"" + m.name +
-                         "\" input in is not driven by any wire");
-        } else if (drivers > 1) {
-            ctx.fail(wires, "netlist.wires",
-                     "monitor \"" + m.name +
-                         "\" input in is driven more than once");
-        }
+        check_driven("monitor", m.name, "in");
     }
     for (const SourceSpec& s : net.sources) {
-        bool drives = false;
-        for (const WireSpec& w : net.wires) {
-            if (w.from_inst == s.name) drives = true;
-        }
-        if (!drives) {
-            ctx.fail(wires ? wires : instances, "netlist.wires",
-                     "source \"" + s.name +
-                         "\" output out drives nothing");
+        if (std::none_of(
+                net.wires.begin(), net.wires.end(),
+                [&](const WireSpec& w) { return w.from_inst == s.name; })) {
+            ctx.fail(wires_at, "netlist.wires",
+                     "source \"" + s.name + "\" output out drives nothing");
         }
     }
 
@@ -766,205 +832,63 @@ void parse_netlist(Ctx& ctx, const obs::JsonValue& v, NetlistSpec& net) {
               });
 }
 
-// --- tasks ---------------------------------------------------------------
+// --- tasks -----------------------------------------------------------------
 
 void parse_task(Ctx& ctx, const obs::JsonValue& v, const std::string& tp,
                 TaskSpec& task) {
     const obs::JsonValue* kindv = v.find("kind");
     const std::string kind = kindv ? kindv->string_or("") : "";
-    if (kind == "ber_surface") {
-        task.kind = TaskSpec::Kind::kBerSurface;
-    } else if (kind == "baseline_jtol") {
-        task.kind = TaskSpec::Kind::kBaselineJtol;
-    } else if (kind == "netlist_run") {
-        task.kind = TaskSpec::Kind::kNetlistRun;
-    } else if (kind == "differential") {
-        task.kind = TaskSpec::Kind::kDifferential;
-    } else if (kind == "health_probe") {
-        task.kind = TaskSpec::Kind::kHealthProbe;
-    } else {
-        ctx.fail(kindv ? kindv : &v, tp + ".kind",
+    const auto* it = std::find(std::begin(kTaskKinds), std::end(kTaskKinds),
+                               kind);
+    if (it == std::end(kTaskKinds)) {
+        ctx.fail(kindv ? *kindv : v, tp + ".kind",
                  "want \"ber_surface\", \"baseline_jtol\", "
                  "\"netlist_run\", \"differential\" or \"health_probe\"");
         return;
     }
-    task.prefix = task_kind_name(task.kind);
-
-    const bool surface = task.kind == TaskSpec::Kind::kBerSurface;
-    const bool baseline = task.kind == TaskSpec::Kind::kBaselineJtol;
-    const bool differential = task.kind == TaskSpec::Kind::kDifferential;
-    const bool healthprobe = task.kind == TaskSpec::Kind::kHealthProbe;
-
-    for (const auto& [key, val] : v.members) {
-        const std::string kp = tp + "." + key;
-        if (key == "kind") continue;
-        if (key == "prefix") {
-            std::string p;
-            if (read_string(ctx, val, kp, p)) {
-                bool ok = !p.empty() && p.size() <= 64;
-                for (char c : p) {
-                    ok = ok && ((c >= 'a' && c <= 'z') ||
-                                (c >= '0' && c <= '9') || c == '_' ||
-                                c == '.');
-                }
-                if (!ok) {
-                    ctx.fail(&val, kp,
-                             "metric prefix must be [a-z0-9_.]{1,64}");
-                } else {
-                    task.prefix = p;
-                }
-            }
-        } else if (surface && key == "axes") {
-            if (!val.is_array() || val.items.empty()) {
-                ctx.fail(&val, kp, "want a non-empty array of axes");
-                continue;
-            }
-            for (std::size_t i = 0; i < val.items.size(); ++i) {
-                const obs::JsonValue& av = val.items[i];
-                const std::string ap = kp + "[" + std::to_string(i) + "]";
-                if (!av.is_object()) {
-                    ctx.fail(&av, ap, "want an object");
-                    continue;
-                }
-                AxisSpec axis;
-                for (const auto& [ak, avv] : av.members) {
-                    if (ak == "name") {
-                        if (read_string(ctx, avv, ap + ".name",
-                                        axis.name)) {
-                            statmodel::ModelConfig probe;
-                            if (!apply_model_field(probe, axis.name,
-                                                   0.0)) {
-                                ctx.fail(&avv, ap + ".name",
-                                         "unknown model field \"" +
-                                             axis.name + "\"");
-                            }
-                        }
-                    } else if (ak == "values" || ak == "linspace" ||
-                               ak == "logspace" || ak == "steps") {
-                        // Re-wrap as a one-member object so read_values
-                        // sees the generator form.
-                        obs::JsonValue wrap;
-                        wrap.type = obs::JsonValue::Type::kObject;
-                        wrap.offset = avv.offset;
-                        wrap.members.emplace_back(ak, avv);
-                        (void)read_values(ctx, wrap, ap, axis.values);
-                    } else {
-                        ctx.fail(&avv, ap + "." + ak,
-                                 "unknown key \"" + ak + "\"");
-                    }
-                }
-                if (axis.name.empty()) {
-                    ctx.fail(&av, ap, "axis needs a \"name\"");
-                } else if (axis.values.empty()) {
-                    ctx.fail(&av, ap,
-                             "axis needs values (literal or generator)");
-                } else {
-                    task.axes.push_back(std::move(axis));
-                }
-            }
-        } else if (surface && key == "jtol") {
-            if (!val.is_object()) {
-                ctx.fail(&val, kp, "want an object");
-                continue;
-            }
-            task.has_jtol = true;
-            bool saw_freqs = false;
-            for (const auto& [jk, jv] : val.members) {
-                const std::string jp = kp + "." + jk;
-                if (jk == "freqs") {
-                    saw_freqs =
-                        read_values(ctx, jv, jp, task.jtol.freqs);
-                } else if (jk == "ber_target") {
-                    if (read_double(ctx, jv, jp, task.jtol.ber_target) &&
-                        (task.jtol.ber_target <= 0.0 ||
-                         task.jtol.ber_target >= 1.0)) {
-                        ctx.fail(&jv, jp, "want in (0, 1)");
-                    }
-                } else if (jk == "mask") {
-                    if (read_string(ctx, jv, jp, task.jtol.mask) &&
-                        task.jtol.mask != "infiniband_2g5" &&
-                        task.jtol.mask != "none") {
-                        ctx.fail(&jv, jp,
-                                 "want \"infiniband_2g5\" or \"none\"");
-                    }
-                } else {
-                    ctx.fail(&jv, jp, "unknown key \"" + jk + "\"");
-                }
-            }
-            if (!saw_freqs) {
-                ctx.fail(&val, kp, "jtol needs \"freqs\"");
-            }
-        } else if (baseline && key == "jtol_freqs") {
-            (void)read_values(ctx, val, kp, task.jtol_freqs);
-        } else if (baseline && key == "jtol_bits") {
-            if (read_uint(ctx, val, kp, task.jtol_bits) &&
-                (task.jtol_bits < 1000 || task.jtol_bits > 10'000'000)) {
-                ctx.fail(&val, kp, "want an integer in [1000, 10000000]");
-            }
-        } else if (baseline && key == "ber_target") {
-            if (read_double(ctx, val, kp, task.ber_target) &&
-                (task.ber_target <= 0.0 || task.ber_target >= 1.0)) {
-                ctx.fail(&val, kp, "want in (0, 1)");
-            }
-        } else if (baseline && key == "amp_cap") {
-            if (read_double(ctx, val, kp, task.amp_cap) &&
-                task.amp_cap <= 0.0) {
-                ctx.fail(&val, kp, "want > 0");
-            }
-        } else if (baseline && key == "offsets") {
-            (void)read_values(ctx, val, kp, task.offsets);
-        } else if (baseline && key == "offset_bits") {
-            if (read_uint(ctx, val, kp, task.offset_bits) &&
-                (task.offset_bits < 1000 ||
-                 task.offset_bits > 10'000'000)) {
-                ctx.fail(&val, kp, "want an integer in [1000, 10000000]");
-            }
-        } else if (differential && key == "behavioral_runs") {
-            if (read_uint(ctx, val, kp, task.behavioral_runs) &&
-                task.behavioral_runs > 1'000'000) {
-                ctx.fail(&val, kp, "want <= 1000000");
-            }
-        } else if (differential && key == "behavioral_min_ber") {
-            if (read_double(ctx, val, kp, task.behavioral_min_ber) &&
-                (task.behavioral_min_ber <= 0.0 ||
-                 task.behavioral_min_ber >= 1.0)) {
-                ctx.fail(&val, kp, "want in (0, 1)");
-            }
-        } else if (differential && key == "behavioral_tau") {
-            if (read_double(ctx, val, kp, task.behavioral_tau) &&
-                task.behavioral_tau < 1.0) {
-                ctx.fail(&val, kp, "want >= 1");
-            }
-        } else if (healthprobe && key == "frames") {
-            if (read_uint(ctx, val, kp, task.frames) &&
-                (task.frames < 1 || task.frames > 1000)) {
-                ctx.fail(&val, kp, "want an integer in [1, 1000]");
-            }
-        } else {
-            ctx.fail(&val, kp,
-                     "unknown key \"" + key + "\" for kind \"" + kind +
-                         "\"");
-        }
+    task.kind = static_cast<TaskSpec::Kind>(it - std::begin(kTaskKinds));
+    task.prefix = kind;
+    (void)obs::read_fields(ctx, v, tp, task_fields(task.kind), task,
+                           {.kind = kind});
+    if (task.kind == TaskSpec::Kind::kBerSurface && task.axes.empty()) {
+        ctx.fail(v, tp, "ber_surface needs \"axes\"");
     }
-
-    if (surface && task.axes.empty()) {
-        ctx.fail(&v, tp, "ber_surface needs \"axes\"");
-    }
-    if (baseline && task.jtol_freqs.empty()) {
-        ctx.fail(&v, tp, "baseline_jtol needs \"jtol_freqs\"");
+    if (task.kind == TaskSpec::Kind::kBaselineJtol &&
+        task.jtol_freqs.empty()) {
+        ctx.fail(v, tp, "baseline_jtol needs \"jtol_freqs\"");
     }
 }
 
 }  // namespace
+
+std::string Diagnostic::render() const {
+    std::string out;
+    if (!file.empty()) {
+        out += file;
+        if (line > 0) {
+            out += ':' + std::to_string(line) + ':' + std::to_string(column);
+        }
+        out += ": ";
+    }
+    if (!path.empty()) {
+        out += "at " + path + ": ";
+    }
+    out += message;
+    return out;
+}
+
+const char* task_kind_name(TaskSpec::Kind k) {
+    return kTaskKinds[static_cast<std::size_t>(k)].data();
+}
 
 bool scenario_from_json(const obs::JsonValue& root, ScenarioDoc& doc,
                         std::vector<Diagnostic>& diags,
                         std::string_view source, std::string_view file) {
     doc = ScenarioDoc{};
     const std::size_t diags_before = diags.size();
-    Ctx ctx{source, file, &diags};
+    Ctx ctx(source, file, diags);
     if (!root.is_object()) {
-        ctx.fail(&root, "", "scenario must be a JSON object");
+        ctx.fail(root, "", "scenario must be a JSON object");
         return false;
     }
     bool saw_schema = false, saw_name = false, saw_tasks = false;
@@ -972,29 +896,32 @@ bool scenario_from_json(const obs::JsonValue& root, ScenarioDoc& doc,
         if (key == "schema") {
             saw_schema = true;
             if (val.string_or("") != kScenarioSchema) {
-                ctx.fail(&val, "schema",
+                ctx.fail(val, "schema",
                          std::string("want \"") + kScenarioSchema + "\"");
             }
         } else if (key == "name") {
             saw_name = true;
-            if (read_string(ctx, val, "name", doc.name) &&
-                !is_identifier(doc.name)) {
-                ctx.fail(&val, "name",
+            if (ctx.text(val, "name", doc.name) && !is_identifier(doc.name)) {
+                ctx.fail(val, "name",
                          "scenario name must be [A-Za-z0-9_]{1,64}");
             }
         } else if (key == "title") {
-            (void)read_string(ctx, val, "title", doc.title);
+            (void)ctx.text(val, "title", doc.title);
         } else if (key == "model") {
             parse_model(ctx, val, doc.model);
         } else if (key == "mc") {
-            parse_mc(ctx, val, doc.mc);
+            if (val.is_object()) {
+                (void)obs::read_fields(ctx, val, "mc", kMcFields, doc.mc);
+            } else {
+                ctx.fail(val, "mc", "want an object");
+            }
         } else if (key == "netlist") {
             doc.has_netlist = true;
             parse_netlist(ctx, val, doc.netlist);
         } else if (key == "tasks") {
             saw_tasks = true;
             if (!val.is_array() || val.items.empty()) {
-                ctx.fail(&val, "tasks", "want a non-empty array");
+                ctx.fail(val, "tasks", "want a non-empty array");
                 continue;
             }
             for (std::size_t i = 0; i < val.items.size(); ++i) {
@@ -1007,19 +934,19 @@ bool scenario_from_json(const obs::JsonValue& root, ScenarioDoc& doc,
                 }
             }
         } else {
-            ctx.fail(&val, key, "unknown key \"" + key + "\"");
+            ctx.unknown(val, key, key, {});
         }
     }
-    if (!saw_schema) ctx.fail(&root, "schema", "missing \"schema\"");
-    if (!saw_name) ctx.fail(&root, "name", "missing \"name\"");
-    if (!saw_tasks) ctx.fail(&root, "tasks", "missing \"tasks\"");
+    if (!saw_schema) ctx.fail(root, "schema", "missing \"schema\"");
+    if (!saw_name) ctx.fail(root, "name", "missing \"name\"");
+    if (!saw_tasks) ctx.fail(root, "tasks", "missing \"tasks\"");
 
     // Cross-cutting checks only meaningful once everything parsed.
     if (diags.size() == diags_before) {
         for (std::size_t i = 0; i < doc.tasks.size(); ++i) {
             for (std::size_t j = i + 1; j < doc.tasks.size(); ++j) {
                 if (doc.tasks[i].prefix == doc.tasks[j].prefix) {
-                    ctx.fail(&root, "tasks[" + std::to_string(j) + "]",
+                    ctx.fail(root, "tasks[" + std::to_string(j) + "]",
                              "duplicate metric prefix \"" +
                                  doc.tasks[j].prefix +
                                  "\" (metrics would collide)");
@@ -1028,7 +955,7 @@ bool scenario_from_json(const obs::JsonValue& root, ScenarioDoc& doc,
             if ((doc.tasks[i].kind == TaskSpec::Kind::kNetlistRun ||
                  doc.tasks[i].kind == TaskSpec::Kind::kHealthProbe) &&
                 !doc.has_netlist) {
-                ctx.fail(&root, "tasks[" + std::to_string(i) + "]",
+                ctx.fail(root, "tasks[" + std::to_string(i) + "]",
                          std::string(task_kind_name(doc.tasks[i].kind)) +
                              " task needs a \"netlist\" section");
             }
@@ -1081,246 +1008,68 @@ bool scenario_from_file(const std::string& path, ScenarioDoc& doc,
 
 namespace {
 
-void append_field(std::string& out, bool& first, std::string_view key,
-                  std::string_view rendered) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += key;
-    out += "\":";
-    out += rendered;
-}
-
-void append_number(std::string& out, bool& first, std::string_view key,
-                   double value) {
-    append_field(out, first, key, obs::canonical_number(value, {}));
-}
-
-void append_uint(std::string& out, bool& first, std::string_view key,
-                 std::uint64_t value) {
-    append_field(out, first, key, std::to_string(value));
-}
-
-void append_string(std::string& out, bool& first, std::string_view key,
-                   const std::string& value) {
-    append_field(out, first, key,
-                 "\"" + obs::JsonWriter::escape(value) + "\"");
-}
-
-std::string values_json(const std::vector<double>& values) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) out += ',';
-        out += obs::canonical_number(values[i], {});
-    }
-    out += ']';
-    return out;
-}
-
-std::string task_json(const TaskSpec& t) {
-    // Collect (key, rendered) and sort so the member order stays
-    // canonical no matter which kind contributes which keys.
-    std::vector<std::pair<std::string, std::string>> fields;
-    const auto num = [&](const char* k, double v) {
-        fields.emplace_back(k, obs::canonical_number(v, {}));
-    };
-    const auto uint = [&](const char* k, std::uint64_t v) {
-        fields.emplace_back(k, std::to_string(v));
-    };
-    const auto str = [&](const char* k, const std::string& v) {
-        fields.emplace_back(k, "\"" + obs::JsonWriter::escape(v) + "\"");
-    };
-    switch (t.kind) {
-        case TaskSpec::Kind::kBerSurface: {
-            std::string axes = "[";
-            for (std::size_t i = 0; i < t.axes.size(); ++i) {
-                if (i) axes += ',';
-                axes += "{\"name\":\"" +
-                        obs::JsonWriter::escape(t.axes[i].name) +
-                        "\",\"values\":" + values_json(t.axes[i].values) +
-                        "}";
-            }
-            axes += ']';
-            fields.emplace_back("axes", std::move(axes));
-            if (t.has_jtol) {
-                std::string jtol = "{";
-                bool jfirst = true;
-                append_number(jtol, jfirst, "ber_target",
-                              t.jtol.ber_target);
-                append_field(jtol, jfirst, "freqs",
-                             values_json(t.jtol.freqs));
-                append_string(jtol, jfirst, "mask", t.jtol.mask);
-                jtol += '}';
-                fields.emplace_back("jtol", std::move(jtol));
-            }
-            break;
-        }
-        case TaskSpec::Kind::kBaselineJtol:
-            num("amp_cap", t.amp_cap);
-            num("ber_target", t.ber_target);
-            uint("jtol_bits", t.jtol_bits);
-            fields.emplace_back("jtol_freqs", values_json(t.jtol_freqs));
-            uint("offset_bits", t.offset_bits);
-            if (!t.offsets.empty()) {
-                fields.emplace_back("offsets", values_json(t.offsets));
-            }
-            break;
-        case TaskSpec::Kind::kNetlistRun:
-            break;
-        case TaskSpec::Kind::kDifferential:
-            num("behavioral_min_ber", t.behavioral_min_ber);
-            uint("behavioral_runs", t.behavioral_runs);
-            num("behavioral_tau", t.behavioral_tau);
-            break;
-        case TaskSpec::Kind::kHealthProbe:
-            uint("frames", t.frames);
-            break;
-    }
-    str("kind", std::string(task_kind_name(t.kind)));
-    str("prefix", t.prefix);
-    std::sort(fields.begin(), fields.end());
-
-    std::string out = "{";
-    bool first = true;
-    for (const auto& [k, v] : fields) append_field(out, first, k, v);
-    out += '}';
-    return out;
-}
-
-std::string netlist_json(const NetlistSpec& net) {
-    // Instance names are sorted (the loader's canonical order) and kinds
-    // sort as channel < monitor < source, so emitting channels, then
-    // monitors, then sources interleaved by name keeps the member list
-    // bytewise sorted only if names don't interleave across kinds —
-    // which they can. Collect (name, rendered) pairs and sort instead.
+void write_netlist(std::string& out, const NetlistSpec& net) {
+    // Instances are emitted in name order across kinds, so render each
+    // and sort the (name, rendered) pairs.
     std::vector<std::pair<std::string, std::string>> insts;
     for (const ChannelSpec& c : net.channels) {
-        std::string o = "{";
-        bool first = true;
-        append_number(o, first, "ckj_uirms", c.ckj_uirms);
-        append_number(o, first, "f_osc_hz", c.f_osc_hz);
-        append_field(o, first, "improved_sampling",
-                     c.improved_sampling ? "true" : "false");
-        append_string(o, first, "kind", "channel");
-        o += '}';
-        insts.emplace_back(c.name, std::move(o));
+        insts.emplace_back(c.name, std::string());
+        obs::write_fields(insts.back().second, kChannelFields, c);
     }
     for (const MonitorSpec& m : net.monitors) {
-        insts.emplace_back(m.name, "{\"kind\":\"monitor\"}");
+        insts.emplace_back(m.name, std::string());
+        obs::write_fields(insts.back().second, kMonitorFields, m);
     }
     for (const SourceSpec& s : net.sources) {
-        // Pattern sources replace the PRBS stream, so exactly one of the
-        // two generator descriptions is emitted; rate_offset only when
-        // non-default. This keeps pre-existing documents' canonical bytes
-        // (and therefore scenario hashes) unchanged — same conditional-
-        // emission precedent as the baseline task's "offsets".
-        std::string o = "{";
-        bool first = true;
-        if (s.pattern.empty()) {
-            append_uint(o, first, "bits", s.bits);
-            append_string(o, first, "kind", "source");
-            append_uint(o, first, "prbs",
-                        static_cast<std::uint64_t>(s.prbs));
-        } else {
-            append_string(o, first, "kind", "source");
-            std::string pat = "[";
-            for (std::size_t b = 0; b < s.pattern.size(); ++b) {
-                if (b) pat += ',';
-                pat += s.pattern[b] ? '1' : '0';
-            }
-            pat += ']';
-            append_field(o, first, "pattern", pat);
-        }
-        if (s.rate_offset != 0.0) {
-            append_number(o, first, "rate_offset", s.rate_offset);
-        }
-        if (!s.pattern.empty()) {
-            append_uint(o, first, "repeat", s.repeat);
-        }
-        append_number(o, first, "start_ns", s.start_ns);
-        o += '}';
-        insts.emplace_back(s.name, std::move(o));
+        insts.emplace_back(s.name, std::string());
+        obs::write_fields(insts.back().second, kSourceFields, s);
     }
     std::sort(insts.begin(), insts.end());
 
-    std::string out = "{\"instances\":{";
+    out += "{\"instances\":{";
     for (std::size_t i = 0; i < insts.size(); ++i) {
         if (i) out += ',';
-        out += '"' + obs::JsonWriter::escape(insts[i].first) +
-               "\":" + insts[i].second;
+        obs::write_string(out, insts[i].first);
+        out += ':';
+        out += insts[i].second;
     }
     out += "},\"wires\":[";
     for (std::size_t i = 0; i < net.wires.size(); ++i) {
         const WireSpec& w = net.wires[i];
         if (i) out += ',';
-        std::string o = "{";
-        bool first = true;
-        append_string(o, first, "from", w.from_inst + "." + w.from_port);
-        append_number(o, first, "skew_ps", w.skew_ps);
-        append_string(o, first, "to", w.to_inst + "." + w.to_port);
-        o += '}';
-        out += o;
+        out += "{\"from\":";
+        obs::write_string(out, w.from_inst + "." + w.from_port);
+        out += ",\"skew_ps\":" + obs::canonical_number(w.skew_ps, {});
+        out += ",\"to\":";
+        obs::write_string(out, w.to_inst + "." + w.to_port);
+        out += '}';
     }
     out += "]}";
-    return out;
 }
 
 }  // namespace
 
 std::string resolved_json(const ScenarioDoc& doc) {
-    std::string out = "{";
-    bool first = true;
-    {
-        std::string mc = "{";
-        bool mfirst = true;
-        append_number(mc, mfirst, "confidence", doc.mc.confidence);
-        append_uint(mc, mfirst, "max_evals", doc.mc.max_evals);
-        append_number(mc, mfirst, "target_rel_err", doc.mc.target_rel_err);
-        mc += '}';
-        append_field(out, first, "mc", mc);
-    }
-    {
-        std::string cfg = "{";
-        bool cfirst = true;
-        const statmodel::ModelConfig& c = doc.model;
-        append_uint(cfg, cfirst, "cid_ref",
-                    static_cast<std::uint64_t>(c.cid_ref));
-        append_number(cfg, cfirst, "ckj_uirms", c.spec.ckj_uirms);
-        append_number(cfg, cfirst, "dj_uipp", c.spec.dj_uipp);
-        append_number(cfg, cfirst, "freq_offset", c.freq_offset);
-        append_number(cfg, cfirst, "grid_dx", c.grid_dx);
-        append_uint(cfg, cfirst, "max_cid",
-                    static_cast<std::uint64_t>(c.max_cid));
-        append_number(cfg, cfirst, "pdf_prune_floor", c.pdf_prune_floor);
-        append_number(cfg, cfirst, "rj_uirms", c.spec.rj_uirms);
-        append_field(cfg, cfirst, "run_model",
-                     c.run_model == statmodel::RunModel::kWeighted
-                         ? "\"weighted\""
-                         : "\"worst_case\"");
-        append_number(cfg, cfirst, "sampling_advance_ui",
-                      c.sampling_advance_ui);
-        append_number(cfg, cfirst, "sj_freq_norm", c.sj_freq_norm);
-        append_number(cfg, cfirst, "sj_uipp", c.spec.sj_uipp);
-        append_number(cfg, cfirst, "trigger_mismatch_uirms",
-                      c.trigger_mismatch_uirms);
-        cfg += '}';
-        append_field(out, first, "model", cfg);
-    }
-    append_string(out, first, "name", doc.name);
+    // Top-level keys in sorted order by construction.
+    std::string out = "{\"mc\":";
+    obs::write_fields(out, kMcFields, doc.mc);
+    out += ",\"model\":";
+    statmodel::write_model_config(out, doc.model);
+    out += ",\"name\":";
+    obs::write_string(out, doc.name);
     if (doc.has_netlist) {
-        append_field(out, first, "netlist", netlist_json(doc.netlist));
+        out += ",\"netlist\":";
+        write_netlist(out, doc.netlist);
     }
-    append_string(out, first, "schema", kScenarioSchema);
-    {
-        std::string tasks = "[";
-        for (std::size_t i = 0; i < doc.tasks.size(); ++i) {
-            if (i) tasks += ',';
-            tasks += task_json(doc.tasks[i]);
-        }
-        tasks += ']';
-        append_field(out, first, "tasks", tasks);
+    out += ",\"schema\":";
+    obs::write_string(out, kScenarioSchema);
+    out += ",\"tasks\":[";
+    for (std::size_t i = 0; i < doc.tasks.size(); ++i) {
+        if (i) out += ',';
+        obs::write_fields(out, task_fields(doc.tasks[i].kind), doc.tasks[i]);
     }
-    append_string(out, first, "title", doc.title);
+    out += "],\"title\":";
+    obs::write_string(out, doc.title);
     out += '}';
     return out;
 }

@@ -33,6 +33,14 @@
 // document's canonical hash, and a half-understood document would poison
 // the cache under a wrong key.
 //
+// The per-field surface is declarative: each section (mc, model, every
+// netlist instance kind, every task kind) is an obs/fields.hpp table
+// whose rows carry the key, type, range or choice set, rejection message
+// and canonical-emission rule, and the same row drives both the loader
+// and resolved_json(). The model table (statmodel/model_fields.hpp) is
+// shared with the serving daemon's job "config". Structural netlist
+// checks, generator expansion and cross-field rules stay hand-written.
+//
 // Canonical form: resolved_json() re-serializes a loaded document with
 // every field explicit (defaults resolved, generators expanded, keys
 // sorted, obs/canonical number rendering, netlist instances and wires in
@@ -194,14 +202,6 @@ struct ScenarioDoc {
     NetlistSpec netlist;
     std::vector<TaskSpec> tasks;
 };
-
-/// Set one ModelConfig double field by its scenario/protocol name
-/// (sj_freq_norm, freq_offset, sampling_advance_ui,
-/// trigger_mismatch_uirms, grid_dx, pdf_prune_floor, dj_uipp, rj_uirms,
-/// sj_uipp, ckj_uirms). Returns false for unknown names. Sweep axes
-/// address exactly this namespace.
-[[nodiscard]] bool apply_model_field(statmodel::ModelConfig& cfg,
-                                     std::string_view name, double value);
 
 /// Build a ScenarioDoc from a parsed JSON value. Collects every
 /// diagnostic it can (not just the first); returns true iff none. Pass

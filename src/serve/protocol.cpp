@@ -1,15 +1,21 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
-#include "obs/json.hpp"
-#include "serve/canonical.hpp"
+#include "obs/canonical.hpp"
+#include "obs/fields.hpp"
+#include "statmodel/model_fields.hpp"
 #include "util/hash.hpp"
 
 namespace gcdr::serve {
 
 namespace {
+
+/// Job type names, in JobType order.
+constexpr const char* kJobTypes[] = {"ber", "eye", "sweep", "mc", "scenario"};
 
 /// Uniform numeric read: any JSON number (the parser keeps doubles).
 bool read_double(const obs::JsonValue& v, double& out) {
@@ -31,6 +37,76 @@ bool read_int(const obs::JsonValue& v, int& out) {
     return true;
 }
 
+/// The daemon's FieldReader: keeps the first failure as one "path:
+/// message" line (parse_job answers with a single error) and takes any
+/// integral JSON number for an integer field (5, 5.0 and 5e0 alike).
+class JobReader final : public obs::FieldReader {
+public:
+    std::string error;
+
+    void fail(const obs::JsonValue&, const std::string& path,
+              const std::string& msg) override {
+        if (error.empty()) error = path + ": " + msg;
+    }
+
+    bool real(const obs::JsonValue& v, const std::string& path,
+              double& out) override {
+        if (read_double(v, out)) return true;
+        fail(v, path, "want finite number");
+        return false;
+    }
+
+    /// The range is part of the one message (every integer field of the
+    /// config surface is bounded).
+    bool count(const obs::JsonValue& v, const std::string& path,
+               const obs::Rule& rule, std::uint64_t& out) override {
+        int n = 0;
+        if (read_int(v, n) && rule.range.contains(n)) {
+            out = static_cast<std::uint64_t>(n);
+            return true;
+        }
+        fail(v, path,
+             "want integer in [" + obs::canonical_number(rule.range.lo, {}) +
+                 "," + obs::canonical_number(rule.range.hi, {}) + "]");
+        return false;
+    }
+
+    /// A non-string reads as "" and fails the field's choice set.
+    bool text(const obs::JsonValue& v, const std::string&,
+              std::string& out) override {
+        out = v.string_or("");
+        return true;
+    }
+
+    bool boolean(const obs::JsonValue& v, const std::string& path,
+                 bool& out) override {
+        if (!v.is_bool()) {
+            fail(v, path, "want boolean");
+            return false;
+        }
+        out = v.boolean;
+        return true;
+    }
+
+    bool values(const obs::JsonValue& v, const std::string& path,
+                std::vector<double>& out) override {
+        for (const auto& item : v.items) {
+            double d = 0.0;
+            if (!read_double(item, d)) {
+                fail(item, path, "want finite numbers");
+                return false;
+            }
+            out.push_back(d);
+        }
+        return true;
+    }
+
+    void unknown(const obs::JsonValue& v, const std::string& path,
+                 const std::string&, std::string_view) override {
+        fail(v, path, "unknown field");
+    }
+};
+
 void append_field(std::string& out, bool& first, std::string_view key,
                   std::string_view rendered) {
     if (!first) out += ',';
@@ -43,57 +119,17 @@ void append_field(std::string& out, bool& first, std::string_view key,
 
 void append_number(std::string& out, bool& first, std::string_view key,
                    double value) {
-    append_field(out, first, key, canonical_number(value, {}));
+    append_field(out, first, key, obs::canonical_number(value, {}));
 }
 
 }  // namespace
 
 const char* job_type_name(JobType t) {
-    switch (t) {
-        case JobType::kBer:
-            return "ber";
-        case JobType::kEye:
-            return "eye";
-        case JobType::kSweep:
-            return "sweep";
-        case JobType::kMc:
-            return "mc";
-        case JobType::kScenario:
-            return "scenario";
-    }
-    return "?";
+    return kJobTypes[static_cast<std::size_t>(t)];
 }
 
 const char* model_version_of(JobType t) {
     return t == JobType::kScenario ? kScenarioModelVersion : kModelVersion;
-}
-
-bool apply_config_field(statmodel::ModelConfig& cfg, std::string_view name,
-                        double value) {
-    if (name == "sj_freq_norm") {
-        cfg.sj_freq_norm = value;
-    } else if (name == "freq_offset") {
-        cfg.freq_offset = value;
-    } else if (name == "sampling_advance_ui") {
-        cfg.sampling_advance_ui = value;
-    } else if (name == "trigger_mismatch_uirms") {
-        cfg.trigger_mismatch_uirms = value;
-    } else if (name == "grid_dx") {
-        cfg.grid_dx = value;
-    } else if (name == "pdf_prune_floor") {
-        cfg.pdf_prune_floor = value;
-    } else if (name == "dj_uipp") {
-        cfg.spec.dj_uipp = value;
-    } else if (name == "rj_uirms") {
-        cfg.spec.rj_uirms = value;
-    } else if (name == "sj_uipp") {
-        cfg.spec.sj_uipp = value;
-    } else if (name == "ckj_uirms") {
-        cfg.spec.ckj_uirms = value;
-    } else {
-        return false;
-    }
-    return true;
 }
 
 bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
@@ -104,64 +140,27 @@ bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
     }
     bool saw_type = false;
     bool saw_workload = false;  // config / axes / ber_target / mc
+    JobReader r;
     for (const auto& [key, val] : v.members) {
         if (key == "type") {
             saw_type = true;
             const std::string t = val.string_or("");
-            if (t == "ber") {
-                spec.type = JobType::kBer;
-            } else if (t == "eye") {
-                spec.type = JobType::kEye;
-            } else if (t == "sweep") {
-                spec.type = JobType::kSweep;
-            } else if (t == "mc") {
-                spec.type = JobType::kMc;
-            } else if (t == "scenario") {
-                spec.type = JobType::kScenario;
-            } else {
+            const auto* it = std::find(std::begin(kJobTypes),
+                                       std::end(kJobTypes), t);
+            if (it == std::end(kJobTypes)) {
                 error = "unknown job type \"" + t + "\"";
                 return false;
             }
+            spec.type = static_cast<JobType>(it - std::begin(kJobTypes));
         } else if (key == "config") {
             saw_workload = true;
             if (!val.is_object()) {
                 error = "\"config\" must be an object";
                 return false;
             }
-            for (const auto& [ck, cv] : val.members) {
-                if (ck == "max_cid" || ck == "cid_ref") {
-                    int n = 0;
-                    if (!read_int(cv, n) || n < 1 || n > 16) {
-                        error = "config." + ck + ": want integer in [1,16]";
-                        return false;
-                    }
-                    (ck == "max_cid" ? spec.cfg.max_cid : spec.cfg.cid_ref) =
-                        n;
-                } else if (ck == "run_model") {
-                    const std::string m = cv.string_or("");
-                    if (m == "weighted") {
-                        spec.cfg.run_model = statmodel::RunModel::kWeighted;
-                    } else if (m == "worst_case") {
-                        spec.cfg.run_model = statmodel::RunModel::kWorstCase;
-                    } else {
-                        error = "config.run_model: want \"weighted\" or "
-                                "\"worst_case\"";
-                        return false;
-                    }
-                } else {
-                    double d = 0.0;
-                    if (!read_double(cv, d)) {
-                        error = "config." + ck + ": want finite number";
-                        return false;
-                    }
-                    if (!apply_config_field(spec.cfg, ck, d)) {
-                        error = "config." + ck + ": unknown field";
-                        return false;
-                    }
-                }
-            }
-            if (spec.cfg.grid_dx <= 0.0 || spec.cfg.grid_dx > 0.1) {
-                error = "config.grid_dx: want in (0, 0.1]";
+            statmodel::read_model_config(r, val, "config", spec.cfg);
+            if (!r.error.empty()) {
+                error = std::move(r.error);
                 return false;
             }
         } else if (key == "axes") {
@@ -179,20 +178,16 @@ bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
                     return false;
                 }
                 statmodel::ModelConfig probe;
-                if (!apply_config_field(probe, name->text, 0.0)) {
+                if (!statmodel::set_model_field(probe, name->text, 0.0)) {
                     error = "axes[].name: unknown config field \"" +
                             name->text + "\"";
                     return false;
                 }
                 exec::SweepAxis out;
                 out.name = name->text;
-                for (const auto& item : values->items) {
-                    double d = 0.0;
-                    if (!read_double(item, d)) {
-                        error = "axes[].values: want finite numbers";
-                        return false;
-                    }
-                    out.values.push_back(d);
+                if (!r.values(*values, "axes[].values", out.values)) {
+                    error = std::move(r.error);
+                    return false;
                 }
                 spec.axes.push_back(std::move(out));
             }
@@ -262,11 +257,10 @@ bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
                 return false;
             }
         } else if (key == "stream") {
-            if (!val.is_bool()) {
-                error = "stream: want boolean";
+            if (!r.boolean(val, "stream", spec.stream)) {
+                error = std::move(r.error);
                 return false;
             }
-            spec.stream = val.boolean;
         } else {
             error = "unknown job key \"" + key + "\"";
             return false;
@@ -311,12 +305,9 @@ std::string resolved_spec_json(const JobSpec& spec) {
         std::string axes = "[";
         for (std::size_t i = 0; i < spec.axes.size(); ++i) {
             if (i) axes += ',';
-            axes += "{\"name\":\"" + spec.axes[i].name + "\",\"values\":[";
-            for (std::size_t j = 0; j < spec.axes[i].values.size(); ++j) {
-                if (j) axes += ',';
-                axes += canonical_number(spec.axes[i].values[j], {});
-            }
-            axes += "]}";
+            axes += "{\"name\":\"" + spec.axes[i].name + "\",\"values\":";
+            obs::write_numbers(axes, spec.axes[i].values);
+            axes += '}';
         }
         axes += ']';
         append_field(out, first, "axes", axes);
@@ -325,28 +316,8 @@ std::string resolved_spec_json(const JobSpec& spec) {
         append_number(out, first, "ber_target", spec.ber_target);
     }
     if (spec.type != JobType::kScenario) {
-        std::string cfg = "{";
-        bool cfirst = true;
-        const statmodel::ModelConfig& c = spec.cfg;
-        append_number(cfg, cfirst, "cid_ref", c.cid_ref);
-        append_number(cfg, cfirst, "ckj_uirms", c.spec.ckj_uirms);
-        append_number(cfg, cfirst, "dj_uipp", c.spec.dj_uipp);
-        append_number(cfg, cfirst, "freq_offset", c.freq_offset);
-        append_number(cfg, cfirst, "grid_dx", c.grid_dx);
-        append_number(cfg, cfirst, "max_cid", c.max_cid);
-        append_number(cfg, cfirst, "pdf_prune_floor", c.pdf_prune_floor);
-        append_number(cfg, cfirst, "rj_uirms", c.spec.rj_uirms);
-        append_field(cfg, cfirst, "run_model",
-                     c.run_model == statmodel::RunModel::kWeighted
-                         ? "\"weighted\""
-                         : "\"worst_case\"");
-        append_number(cfg, cfirst, "sampling_advance_ui",
-                      c.sampling_advance_ui);
-        append_number(cfg, cfirst, "sj_freq_norm", c.sj_freq_norm);
-        append_number(cfg, cfirst, "sj_uipp", c.spec.sj_uipp);
-        append_number(cfg, cfirst, "trigger_mismatch_uirms",
-                      c.trigger_mismatch_uirms);
-        cfg += '}';
+        std::string cfg;
+        statmodel::write_model_config(cfg, spec.cfg);
         append_field(out, first, "config", cfg);
     }
     if (spec.type == JobType::kMc) {
@@ -380,8 +351,9 @@ JobSpec sweep_point_spec(const JobSpec& sweep, const exec::SweepPoint& p) {
     point.type = JobType::kBer;
     point.axes.clear();
     for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
-        // Names were validated at parse time; apply cannot fail here.
-        (void)apply_config_field(point.cfg, sweep.axes[a].name, p.value[a]);
+        // Names were validated at parse time; this cannot fail here.
+        (void)statmodel::set_model_field(point.cfg, sweep.axes[a].name,
+                                         p.value[a]);
     }
     point.seed = p.seed;
     return point;

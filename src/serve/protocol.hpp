@@ -17,17 +17,16 @@
 // whole workload. Its payload is scenario::result_payload_json of the
 // run: deterministic, thread-count invariant, cacheable.
 //
-// "config" accepts exactly the statmodel::ModelConfig surface: sj_freq_norm,
-// freq_offset, sampling_advance_ui, max_cid, cid_ref,
-// trigger_mismatch_uirms, grid_dx, pdf_prune_floor, run_model
-// ("weighted"|"worst_case"), and the jitter budget dj_uipp / rj_uirms /
-// sj_uipp / ckj_uirms. Unknown keys are a hard parse error — a typo that
+// "config" accepts exactly the statmodel::ModelConfig surface, read and
+// canonically rendered through the same field table a scenario's "model"
+// block uses (statmodel/model_fields.hpp); sweep "axes" name its
+// real-valued fields. Unknown keys are a hard parse error — a typo that
 // silently fell back to a default would poison the cache under a wrong
 // key.
 //
 // Content addressing: the cache key hashes the RESOLVED spec — every
 // field explicitly re-serialized from the parsed struct in sorted key
-// order with canonical number formatting (serve/canonical.hpp) — so
+// order with canonical number formatting (obs/canonical.hpp) — so
 // requests that differ only in key order, float spelling, or omitted
 // defaults address the same cache entry. seed / priority / deadline_s /
 // stream are execution envelope, not workload, and stay out of the hash
@@ -83,11 +82,6 @@ struct JobSpec {
     double deadline_s = 0.0;  ///< 0 = no deadline
     bool stream = false;      ///< sweep: chunked per-point streaming
 };
-
-/// Set one ModelConfig field by protocol name (doubles only — the sweep
-/// axes address the same namespace). Returns false for unknown names.
-[[nodiscard]] bool apply_config_field(statmodel::ModelConfig& cfg,
-                                      std::string_view name, double value);
 
 /// Parse a gcdr.serve.job/v1 object. On failure returns false and fills
 /// `error` with a one-line reason (unknown key, bad type, empty axis...).
