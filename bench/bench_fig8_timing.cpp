@@ -1,102 +1,38 @@
 // Fig 8 — "Timing diagram of GCCO".
-// The measurement half runs through the declarative scenario layer:
-// scenarios/fig8_timing.json describes one pattern-driven lane probed by
-// in-situ health monitors (health_probe task), and this bench builds the
-// SAME document in C++ and executes it with scenario::run_scenario. CI
-// diffs `bench_fig8_timing --json` against `bench_scenario --scenario
-// scenarios/fig8_timing.json --json` with --require-identical-counters,
-// so the two must stay in lockstep: edit the document builder below and
-// the JSON file together.
-//
-// The ASCII waveform of the paper figure (DIN, EDET, DDIN, ring nodes,
-// CKOUT around a resynchronizing edge) is kept as a visualization-only
-// section: it runs a separate 12-bit scalar channel on its own scheduler
-// and metrics registry, so nothing it does lands in the report.
+// Visualization only: the ASCII waveform of the paper figure (DIN, EDET,
+// DDIN, ring nodes, CKOUT around a resynchronizing edge) and the EDET
+// release -> CKOUT rise delays, from a 12-bit scalar channel recorded by
+// sim::VcdWriter. The measurement (a pattern-driven lane probed by in-situ
+// health monitors) is scenarios/fig8_timing.json, run by bench_scenario
+// and gated in CI against bench/reports/BENCH_scenario_fig8_timing.json.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "cdr/channel.hpp"
-#include "scenario/run.hpp"
-#include "scenario/scenario_doc.hpp"
-#include "sim/trace.hpp"
+#include "sim/vcd.hpp"
 
 using namespace gcdr;
 
-namespace {
+int main() {
+    bench::header("Fig 8", "timing diagram of the gated oscillator");
 
-// The 1100101111(01) pattern of the original figure: a two-bit run,
-// single-bit runs and a longer run. Tiled 150x so the health monitors
-// complete enough 64-sample windows to lock.
-scenario::ScenarioDoc fig8_document() {
-    scenario::ScenarioDoc doc;
-    doc.name = "fig8_timing";
-    doc.title = "Timing diagram of the gated oscillator";
-    doc.model.spec.dj_uipp = 0.0;
-    doc.model.spec.rj_uirms = 0.0;
-    doc.model.spec.sj_uipp = 0.0;
-    doc.model.spec.ckj_uirms = 0.0;
-
-    scenario::SourceSpec src;
-    src.name = "src0";
-    src.pattern = {1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 1};
-    src.repeat = 150;
-    src.start_ns = 4.0;
-    doc.netlist.sources.push_back(std::move(src));
-
-    scenario::ChannelSpec ch;
-    ch.name = "lane0";
-    ch.f_osc_hz = 2.5e9;
-    ch.ckj_uirms = 0.0;
-    doc.netlist.channels.push_back(std::move(ch));
-
-    scenario::MonitorSpec mon;
-    mon.name = "mon0";
-    doc.netlist.monitors.push_back(std::move(mon));
-
-    scenario::WireSpec w0;
-    w0.from_inst = "src0";
-    w0.from_port = "out";
-    w0.to_inst = "lane0";
-    w0.to_port = "din";
-    doc.netlist.wires.push_back(std::move(w0));
-    scenario::WireSpec w1;
-    w1.from_inst = "lane0";
-    w1.from_port = "dout";
-    w1.to_inst = "mon0";
-    w1.to_port = "in";
-    doc.netlist.wires.push_back(std::move(w1));
-    doc.has_netlist = true;
-
-    scenario::TaskSpec task;
-    task.kind = scenario::TaskSpec::Kind::kHealthProbe;
-    task.prefix = "fig8";
-    task.frames = 8;
-    doc.tasks.push_back(std::move(task));
-    return doc;
-}
-
-void print_waveforms() {
-    // Visualization only: a 12-bit scalar channel on a private scheduler
-    // and registry, replicating the original figure window exactly.
-    obs::MetricsRegistry viz_reg;
+    // The 1100101111(01) pattern of the original figure: a two-bit run,
+    // single-bit runs and a longer run.
     sim::Scheduler sched;
-    sched.attach_metrics(&viz_reg);
     Rng rng(3);
     cdr::ChannelConfig cfg = cdr::ChannelConfig::nominal(2.5e9, 0.0);
     cfg.gcco.jitter_sigma = 0.0;
     cfg.edge_detector.cell_jitter_rel = 0.0;
     cdr::GccoChannel ch(sched, rng, cfg);
-    ch.attach_metrics(viz_reg, "cdr.ch0");
 
-    sim::Tracer tracer;
-    tracer.attach_metrics(viz_reg);
-    tracer.watch(ch.din());
-    tracer.watch(ch.edge_detector().edet());
-    tracer.watch(ch.edge_detector().ddin());
-    tracer.watch(ch.gcco().stage(0));
-    tracer.watch(ch.gcco().stage(3));
-    tracer.watch(ch.gcco().ckout());
+    sim::VcdWriter vcd;
+    vcd.watch(ch.din());
+    vcd.watch(ch.edge_detector().edet());
+    vcd.watch(ch.edge_detector().ddin());
+    vcd.watch(ch.gcco().stage(0));
+    vcd.watch(ch.gcco().stage(3));
+    vcd.watch(ch.gcco().ckout());
 
     const std::vector<bool> bits{1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 1};
     jitter::StreamParams sp;
@@ -105,17 +41,15 @@ void print_waveforms() {
     sp.start = SimTime::ns(4);
     Rng stream_rng(1);
     ch.drive(jitter::jittered_edges(bits, sp, stream_rng));
-    sched.run_until(SimTime::ns(4) + kPaperRate.ui_to_time(12));
+    const SimTime t_end = SimTime::ns(4) + kPaperRate.ui_to_time(12);
+    sched.run_until(t_end);
 
     bench::section(
         "waveforms (window: 2 UI before the first edge .. bit 12)");
-    std::printf("%s\n",
-                tracer
-                    .ascii_diagram(SimTime::ns(4) - SimTime::ps(800),
-                                   SimTime::ns(4) +
-                                       kPaperRate.ui_to_time(12),
-                                   112)
-                    .c_str());
+    std::printf(
+        "%s\n",
+        vcd.ascii_diagram(SimTime::ns(4) - SimTime::ps(800), t_end, 112)
+            .c_str());
     std::printf(
         "Reading the diagram (as in Fig 8): EDET drops for tau after "
         "each\nDIN edge; the ring freezes within T/2; CKOUT rises T/2 "
@@ -124,8 +58,8 @@ void print_waveforms() {
 
     bench::section(
         "recovered-clock rise after each EDET release (expected: T/2)");
-    const auto rises = tracer.edges_of("ch0_gcco_ckout", true);
-    const auto releases = tracer.edges_of("ch0_ed_edet", true);
+    const auto rises = vcd.edges_of("ch0_gcco_ckout", true);
+    const auto releases = vcd.edges_of("ch0_ed_edet", true);
     std::printf("%18s %16s %12s\n", "EDET release [ps]", "CK rise [ps]",
                 "delta [UI]");
     for (SimTime rel : releases) {
@@ -138,30 +72,5 @@ void print_waveforms() {
             }
         }
     }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-    const auto opts = bench::Options::parse(argc, argv);
-    bench::RunReport report(opts, "fig8_timing",
-                            "timing diagram of the gated oscillator");
-    if (!opts.quiet) {
-        bench::header("Fig 8", "timing diagram of the gated oscillator");
-    }
-
-    const scenario::ScenarioDoc doc = fig8_document();
-    scenario::ScenarioContext ctx;
-    ctx.metrics = &report.metrics();
-    ctx.pool = &report.pool();
-    ctx.seed = report.seed();
-    ctx.verbose = !opts.quiet;
-    ctx.flight = report.flight();
-    const scenario::ScenarioResult result = scenario::run_scenario(doc, ctx);
-    for (const auto& t : result.tasks) {
-        if (!t.health_json.empty()) report.set_health_json(t.health_json);
-    }
-
-    if (!opts.quiet) print_waveforms();
-    return report.write() && result.ok ? 0 : 1;
+    return 0;
 }

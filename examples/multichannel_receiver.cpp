@@ -4,11 +4,10 @@
 // cross into the system clock domain through elastic buffers and are
 // decoded back to bytes.
 //
-// Uses the per-channel-scheduler receiver mode: every lane owns a private
-// event queue and a long_jump-separated RNG stream, and the four lanes
-// execute concurrently on an exec::ThreadPool. Each lane's recovered bits
-// depend only on (seed, lane, its input edges), so the decoded output is
-// identical to a serial run.
+// Every receiver lane owns a private event queue and a long_jump-separated
+// RNG stream, and the four lanes execute concurrently on an
+// exec::ThreadPool. Each lane's recovered bits depend only on (seed, lane,
+// its input edges), so the decoded output is identical to a serial run.
 
 #include <cstdio>
 #include <string>
@@ -45,7 +44,7 @@ int main() {
     obs::MetricsRegistry metrics;
 
     auto cfg = cdr::MultiChannelConfig::paper_receiver();
-    cdr::MultiChannelCdr rx(/*seed=*/7, cfg);  // per-channel schedulers
+    cdr::MultiChannelCdr rx(/*seed=*/7, cfg);
     rx.attach_metrics(metrics);
     for (int lane = 0; lane < rx.n_channels(); ++lane) {
         rx.scheduler(lane).attach_metrics(&metrics);

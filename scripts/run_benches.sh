@@ -45,14 +45,11 @@ mkdir -p "$reports_dir"
 benches=(
     kernel_perf
     trace_overhead
-    fig8_timing
-    fig9_ber_sj
     fig10_ber_freqoff
     fig13_tau_sweep
     fig17_ber_improved
     xval_ber
     ftol_scan
-    baseline_jtol
     serve
 )
 
@@ -94,7 +91,10 @@ fi
 # as BENCH_scenario_<name>.json and the ledger records carry the
 # scenario file + canonical config hash, so perf_history.py trends each
 # scenario under its own "--scenario <name>#<hash>" config key and a
-# changed file never pollutes its predecessor's series.
+# changed file never pollutes its predecessor's series. The committed
+# BENCH_scenario_{fig8_timing,fig9_ber_sj,baseline_jtol}.json are CI's
+# counter goldens for those scenarios (counters are thread-count
+# invariant, so any threads value refreshes them).
 scenarios_dir="$repo_root/scenarios"
 bin="$build_dir/bench/bench_scenario"
 if [[ -x "$bin" && -d "$scenarios_dir" ]]; then

@@ -15,13 +15,6 @@ MultiChannelConfig MultiChannelConfig::paper_receiver() {
     return cfg;
 }
 
-MultiChannelCdr::MultiChannelCdr(sim::Scheduler& sched, Rng& rng,
-                                 const MultiChannelConfig& cfg)
-    : cfg_(cfg), pll_(cfg.pll), shared_sched_(&sched) {
-    pll_.run_to_lock();
-    build_channels(rng, &rng);
-}
-
 MultiChannelCdr::MultiChannelCdr(std::uint64_t seed,
                                  const MultiChannelConfig& cfg)
     : cfg_(cfg), pll_(cfg.pll) {
@@ -32,17 +25,11 @@ MultiChannelCdr::MultiChannelCdr(std::uint64_t seed,
     // whole receiver remains a pure function of `seed`.
     Rng mismatch_rng(seed);
     Xoshiro256 stream(seed);
-    for (int i = 0; i < cfg_.n_channels; ++i) {
-        stream.long_jump();
-        owned_scheds_.push_back(std::make_unique<sim::Scheduler>());
-        owned_rngs_.push_back(std::make_unique<Rng>(stream));
-    }
-    build_channels(mismatch_rng, nullptr);
-}
-
-void MultiChannelCdr::build_channels(Rng& mismatch_rng, Rng* shared_rng) {
     const double ic = pll_.control_current_a();
     for (int i = 0; i < cfg_.n_channels; ++i) {
+        stream.long_jump();
+        scheds_.push_back(std::make_unique<sim::Scheduler>());
+        rngs_.push_back(std::make_unique<Rng>(stream));
         ChannelConfig ch = cfg_.channel;
         ch.control_current_a = ic;
         // Mirror/oscillator mismatch: each channel's free-running frequency
@@ -51,34 +38,22 @@ void MultiChannelCdr::build_channels(Rng& mismatch_rng, Rng* shared_rng) {
             ch.gcco.fc_hz *=
                 1.0 + mismatch_rng.gaussian(0.0, cfg_.cco_mismatch_sigma);
         }
-        const auto idx = static_cast<std::size_t>(i);
-        sim::Scheduler& sched =
-            shared_rng ? *shared_sched_ : *owned_scheds_[idx];
-        Rng& rng = shared_rng ? *shared_rng : *owned_rngs_[idx];
         channels_.push_back(std::make_unique<GccoChannel>(
-            sched, rng, ch, "ch" + std::to_string(i)));
+            *scheds_.back(), *rngs_.back(), ch, "ch" + std::to_string(i)));
         elastic_.push_back(std::make_unique<ElasticBuffer>(cfg_.elastic_depth));
     }
 }
 
 void MultiChannelCdr::run_until(SimTime t_end, exec::ThreadPool* pool) {
-    if (!owns_schedulers()) {
-        shared_sched_->run_until(t_end);
-        return;
-    }
-    auto run_channel = [&](std::size_t i) {
-        owned_scheds_[i]->run_until(t_end);
-    };
+    auto run_channel = [&](std::size_t i) { scheds_[i]->run_until(t_end); };
     if (pool) {
         // Channel i touches only its own scheduler, RNG, wires and
         // decision log; the shared PLL locked at construction and the
         // config are read-only from here on — so dispatching whole
         // channels is race-free without any locking.
-        pool->parallel_for(owned_scheds_.size(), run_channel);
+        pool->parallel_for(scheds_.size(), run_channel);
     } else {
-        for (std::size_t i = 0; i < owned_scheds_.size(); ++i) {
-            run_channel(i);
-        }
+        for (std::size_t i = 0; i < scheds_.size(); ++i) run_channel(i);
     }
 }
 
@@ -153,25 +128,17 @@ void MultiChannelCdr::enable_flight_recorder(obs::FlightRecorder& recorder,
     // first update_lock_metrics() catches both.
     was_locked_.assign(channels_.size(), true);
 
-    // One tracer per scheduler. In shared-scheduler mode every channel's
-    // events interleave on one queue, so they share one id space (and one
-    // tracer); in per-channel mode each scheduler gets its own.
-    const std::size_t n_tracers = owns_schedulers() ? channels_.size() : 1;
-    for (std::size_t s = 0; s < n_tracers; ++s) {
+    // One tracer per channel scheduler, so ring entries carry walkable
+    // trace ids in that channel's id space.
+    for (std::size_t i = 0; i < scheds_.size(); ++i) {
         tracers_.push_back(std::make_unique<obs::CausalTracer>());
-    }
-    if (owns_schedulers()) {
-        for (std::size_t i = 0; i < owned_scheds_.size(); ++i) {
-            owned_scheds_[i]->attach_tracer(tracers_[i].get());
-        }
-    } else {
-        shared_sched_->attach_tracer(tracers_[0].get());
+        scheds_[i]->attach_tracer(tracers_[i].get());
     }
 
     for (std::size_t i = 0; i < channels_.size(); ++i) {
         const std::string name = "ch" + std::to_string(i);
         obs::FlightRing& ring = recorder.ring(name);
-        ring.set_tracer(tracers_[owns_schedulers() ? i : 0].get());
+        ring.set_tracer(tracers_[i].get());
         channels_[i]->record_flight(ring);
 
         auto vcd = std::make_unique<sim::VcdWriter>();
@@ -185,8 +152,8 @@ void MultiChannelCdr::enable_flight_recorder(obs::FlightRecorder& recorder,
         elastic_[i]->set_fault_hook([this, name](const char* kind) {
             flight_->dump(std::string(kind) + ":" + name);
         });
-        scheduler(static_cast<int>(i))
-            .set_fault_hook([this](const char* kind, const std::string&) {
+        scheds_[i]->set_fault_hook(
+            [this](const char* kind, const std::string&) {
                 flight_->dump(kind);
             });
     }

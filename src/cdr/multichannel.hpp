@@ -33,40 +33,25 @@ struct MultiChannelConfig {
 
 class MultiChannelCdr {
 public:
-    /// Shared-scheduler mode: locks the shared PLL (behaviorally) and
-    /// instantiates the channels with the distributed control current and
-    /// per-channel mismatch; all channels execute on the caller's
-    /// scheduler (and draw jitter from the caller's RNG), so run the
-    /// receiver by running `sched`.
-    MultiChannelCdr(sim::Scheduler& sched, Rng& rng,
-                    const MultiChannelConfig& cfg);
-
-    /// Per-channel-scheduler mode: every channel owns a private event
-    /// queue and a private RNG stream — stream i is `seed` advanced by
-    /// i+1 Xoshiro256::long_jump()s (2^128 steps apart, so channel
-    /// randomness never overlaps). The channels share no mutable state,
-    /// which makes run_until() dispatchable across an exec::ThreadPool,
-    /// and channel i's recovered stream depends only on (seed, i, its
-    /// input edges) — not on thread count or scheduling order.
+    /// Locks the shared PLL (behaviorally) and instantiates the channels
+    /// with the distributed control current and per-channel mismatch.
+    /// Every channel owns a private event queue and a private RNG stream
+    /// — stream i is `seed` advanced by i+1 Xoshiro256::long_jump()s
+    /// (2^128 steps apart, so channel randomness never overlaps). The
+    /// channels share no mutable state, which makes run_until()
+    /// dispatchable across an exec::ThreadPool, and channel i's recovered
+    /// stream depends only on (seed, i, its input edges) — not on thread
+    /// count or scheduling order.
     MultiChannelCdr(std::uint64_t seed, const MultiChannelConfig& cfg);
 
-    /// Advance the receiver to `t_end`. In per-channel-scheduler mode the
-    /// channels run concurrently when `pool` is given (each channel's
-    /// event order is internally deterministic, so the result is
-    /// bit-identical to the serial run). In shared-scheduler mode `pool`
-    /// is ignored and the shared scheduler runs serially.
+    /// Advance the receiver to `t_end`. The channels run concurrently when
+    /// `pool` is given (each channel's event order is internally
+    /// deterministic, so the result is bit-identical to the serial run).
     void run_until(SimTime t_end, exec::ThreadPool* pool = nullptr);
 
-    /// True when this receiver was built in per-channel-scheduler mode.
-    [[nodiscard]] bool owns_schedulers() const {
-        return !owned_scheds_.empty();
-    }
-    /// The scheduler channel `i` executes on (the shared one if not
-    /// owns_schedulers()).
+    /// The scheduler channel `i` executes on.
     [[nodiscard]] sim::Scheduler& scheduler(int i) {
-        return owns_schedulers()
-                   ? *owned_scheds_[static_cast<std::size_t>(i)]
-                   : *shared_sched_;
+        return *scheds_[static_cast<std::size_t>(i)];
     }
 
     [[nodiscard]] int n_channels() const {
@@ -137,15 +122,10 @@ public:
                                 std::size_t vcd_max_changes = 65536);
 
 private:
-    /// Instantiate channels + elastics; `shared_rng` null = per-channel
-    /// mode (owned_scheds_/owned_rngs_ already populated).
-    void build_channels(Rng& mismatch_rng, Rng* shared_rng);
-
     MultiChannelConfig cfg_;
     BehavioralPll pll_;
-    sim::Scheduler* shared_sched_ = nullptr;    ///< null in per-channel mode
-    std::vector<std::unique_ptr<sim::Scheduler>> owned_scheds_;
-    std::vector<std::unique_ptr<Rng>> owned_rngs_;
+    std::vector<std::unique_ptr<sim::Scheduler>> scheds_;
+    std::vector<std::unique_ptr<Rng>> rngs_;
     std::vector<std::unique_ptr<GccoChannel>> channels_;
     std::vector<std::unique_ptr<ElasticBuffer>> elastic_;
     obs::MetricsRegistry* metrics_ = nullptr;

@@ -44,8 +44,8 @@ struct CompiledNetlist {
 /// -enforced identical) channel instances via cdr::ChannelConfig::nominal.
 [[nodiscard]] CompiledNetlist compile_netlist(const NetlistSpec& net);
 
-/// Sweep grid of a ber_surface task, axes in document order — the same
-/// row-major point order as the hard-coded benches.
+/// Sweep grid of a ber_surface task, axes in document order (row-major
+/// points, last axis fastest).
 [[nodiscard]] exec::SweepGrid compile_grid(const TaskSpec& task);
 
 /// MC budget with the run's base seed filled in.

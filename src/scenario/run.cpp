@@ -29,11 +29,11 @@ namespace gcdr::scenario {
 namespace {
 
 // --- ber_surface ---------------------------------------------------------
-// Mirrors bench_fig9_ber_sj point for point: one SweepRunner map over the
-// grid (ShardedCounter on <prefix>.ber_evals), histograms recorded
-// serially in row-major order afterwards, then one jtol_curve parallel_for
-// over the contour frequencies. Two pool jobs total — the same exec.jobs /
-// exec.items a hard-coded surface bench produces.
+// Fig 9's flow: one SweepRunner map over the grid (ShardedCounter on
+// <prefix>.ber_evals), histograms recorded serially in row-major order
+// afterwards, then one jtol_curve parallel_for over the contour
+// frequencies. Two pool jobs total; the counters match the golden report
+// bench/reports/BENCH_scenario_fig9_ber_sj.json.
 
 TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
                            const ScenarioContext& ctx) {
@@ -68,10 +68,6 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
     result.series.emplace_back("ber", surface);
     result.scalars.emplace_back("grid_points",
                                 static_cast<double>(surface.size()));
-    if (ctx.verbose) {
-        std::printf("[%s] %zu-point BER surface computed\n",
-                    task.prefix.c_str(), surface.size());
-    }
 
     if (task.has_jtol) {
         std::vector<masks::MaskPoint> contour;
@@ -92,17 +88,12 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
                 all_ok =
                     all_ok && pt.amp_uipp >= mask.amplitude_at(pt.freq_hz);
             }
-            if (ctx.verbose) {
-                std::printf("[%s] jtol %12.4g Hz -> %.3f UIpp\n",
-                            task.prefix.c_str(), pt.freq_hz, pt.amp_uipp);
-            }
         }
         result.series.emplace_back("jtol_uipp", std::move(tol));
         if (masked) {
             // mask_met is the paper's *finding*, not a gate: the
             // reproduced contour intentionally drops below the mask near
-            // the data rate (bench_fig9_ber_sj reports the same gauge and
-            // never fails on it). Gating would fail every faithful run.
+            // the data rate. Gating would fail every faithful run.
             reg.gauge(task.prefix + ".mask_met").set(all_ok ? 1.0 : 0.0);
             result.scalars.emplace_back("mask_met", all_ok ? 1.0 : 0.0);
         }
@@ -111,10 +102,10 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
 }
 
 // --- baseline_jtol -------------------------------------------------------
-// Mirrors bench_baseline_jtol: sweep 1 maps the three architectures over
+// The architecture comparison: sweep 1 maps the three architectures over
 // the JTOL frequencies; sweep 2 (when the document asks for it) maps the
 // frequency-offset sensitivity; ErrorCounters attach after the sweep and
-// replay the per-point error totals, exactly like the bench.
+// replay the per-point error totals.
 
 TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
                              const ScenarioContext& ctx) {
@@ -172,10 +163,6 @@ TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
     result.series.emplace_back("jtol_bang_bang_uipp", std::move(bbv));
     result.series.emplace_back("jtol_gated_osc_uipp", std::move(go));
     result.series.emplace_back("jtol_phase_int_uipp", std::move(piv));
-    if (ctx.verbose) {
-        std::printf("[%s] %zu-point architecture JTOL sweep done\n",
-                    task.prefix.c_str(), rows.size());
-    }
 
     if (!task.offsets.empty()) {
         struct OffsetRow {
@@ -240,7 +227,11 @@ TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
     return result;
 }
 
-// --- netlist_run ---------------------------------------------------------
+// --- netlist stimulus ----------------------------------------------------
+// netlist_run and health_probe drive their receivers the same way: lane i
+// gets its source's bits (PRBS stream, or the explicit pattern tiled
+// `repeat` times) as one jittered edge stream at the source's data-rate
+// offset, starting at start_ns plus the wire skew.
 
 encoding::PrbsOrder prbs_order(int order) {
     switch (order) {
@@ -257,6 +248,48 @@ encoding::PrbsOrder prbs_order(int order) {
     }
 }
 
+std::vector<bool> lane_bits(const CompiledLane& lane) {
+    if (lane.pattern.empty()) {
+        encoding::PrbsGenerator gen(prbs_order(lane.prbs));
+        return gen.bits(static_cast<std::size_t>(lane.bits));
+    }
+    std::vector<bool> bits;
+    bits.reserve(lane.pattern.size() * static_cast<std::size_t>(lane.repeat));
+    for (std::uint64_t r = 0; r < lane.repeat; ++r) {
+        for (int b : lane.pattern) bits.push_back(b != 0);
+    }
+    return bits;
+}
+
+/// Drive every lane of `rx` and return the run end: the latest lane start
+/// plus 4 ns of settling plus the longest lane's bit time. One RNG draws
+/// every lane's jitter realization (like the example receiver); lane edge
+/// streams stay deterministic because drive order is the canonical
+/// channel order.
+SimTime drive_lanes(cdr::MultiChannelCdr& rx, const CompiledNetlist& cn,
+                    const jitter::JitterSpec& spec, std::uint64_t seed) {
+    Rng rng(seed);
+    std::uint64_t max_bits = 0;
+    double last_start_ns = 0.0;
+    for (std::size_t i = 0; i < cn.lanes.size(); ++i) {
+        const CompiledLane& lane = cn.lanes[i];
+        const std::vector<bool> bits = lane_bits(lane);
+        jitter::StreamParams sp;
+        sp.spec = spec;
+        sp.data_rate_offset = lane.rate_offset;
+        sp.start =
+            SimTime::ns(lane.start_ns) + SimTime::ps(lane.skew_ps);
+        rx.drive(static_cast<int>(i), jitter::jittered_edges(bits, sp, rng));
+        max_bits = std::max<std::uint64_t>(max_bits, bits.size());
+        last_start_ns = std::max(last_start_ns,
+                                 lane.start_ns + lane.skew_ps * 1e-3);
+    }
+    return SimTime::ns(last_start_ns + 4.0) +
+           kPaperRate.ui_to_time(static_cast<double>(max_bits));
+}
+
+// --- netlist_run ---------------------------------------------------------
+
 TaskResult run_netlist(const ScenarioDoc& doc, const TaskSpec& task,
                        const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
@@ -267,30 +300,7 @@ TaskResult run_netlist(const ScenarioDoc& doc, const TaskSpec& task,
     const CompiledNetlist cn = compile_netlist(doc.netlist);
     cdr::MultiChannelCdr rx(ctx.seed, cn.config);
     rx.attach_metrics(reg, task.prefix + ".cdr");
-
-    // One RNG drives every lane's jitter realization (like the example
-    // receiver); lane bit streams stay deterministic because drive order
-    // is the canonical channel order.
-    Rng rng(ctx.seed);
-    std::uint64_t max_bits = 0;
-    double last_start_ns = 0.0;
-    for (std::size_t i = 0; i < cn.lanes.size(); ++i) {
-        const CompiledLane& lane = cn.lanes[i];
-        encoding::PrbsGenerator gen(prbs_order(lane.prbs));
-        const auto bits =
-            gen.bits(static_cast<std::size_t>(lane.bits));
-        jitter::StreamParams sp;
-        sp.spec = doc.model.spec;
-        sp.start =
-            SimTime::ns(lane.start_ns) + SimTime::ps(lane.skew_ps);
-        rx.drive(static_cast<int>(i), jitter::jittered_edges(bits, sp, rng));
-        max_bits = std::max(max_bits, lane.bits);
-        last_start_ns = std::max(last_start_ns,
-                                 lane.start_ns + lane.skew_ps * 1e-3);
-    }
-    rx.run_until(SimTime::ns(last_start_ns + 4.0) +
-                     kPaperRate.ui_to_time(static_cast<double>(max_bits)),
-                 ctx.pool);
+    rx.run_until(drive_lanes(rx, cn, doc.model.spec, ctx.seed), ctx.pool);
 
     const auto lanes = rx.drain_elastic();
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -344,36 +354,7 @@ TaskResult run_health_probe(const ScenarioDoc& doc, const TaskSpec& task,
     rx.attach_health(hub);
     if (ctx.flight) rx.enable_flight_recorder(*ctx.flight);
 
-    Rng rng(ctx.seed);
-    std::uint64_t max_bits = 0;
-    double last_start_ns = 0.0;
-    for (std::size_t i = 0; i < cn.lanes.size(); ++i) {
-        const CompiledLane& lane = cn.lanes[i];
-        std::vector<bool> bits;
-        if (lane.pattern.empty()) {
-            encoding::PrbsGenerator gen(prbs_order(lane.prbs));
-            bits = gen.bits(static_cast<std::size_t>(lane.bits));
-        } else {
-            bits.reserve(lane.pattern.size() *
-                         static_cast<std::size_t>(lane.repeat));
-            for (std::uint64_t r = 0; r < lane.repeat; ++r) {
-                for (int b : lane.pattern) bits.push_back(b != 0);
-            }
-        }
-        jitter::StreamParams sp;
-        sp.spec = doc.model.spec;
-        sp.data_rate_offset = lane.rate_offset;
-        sp.start =
-            SimTime::ns(lane.start_ns) + SimTime::ps(lane.skew_ps);
-        rx.drive(static_cast<int>(i), jitter::jittered_edges(bits, sp, rng));
-        max_bits = std::max<std::uint64_t>(max_bits, bits.size());
-        last_start_ns = std::max(last_start_ns,
-                                 lane.start_ns + lane.skew_ps * 1e-3);
-    }
-
-    const SimTime t_end =
-        SimTime::ns(last_start_ns + 4.0) +
-        kPaperRate.ui_to_time(static_cast<double>(max_bits));
+    const SimTime t_end = drive_lanes(rx, cn, doc.model.spec, ctx.seed);
     const std::int64_t end_fs = t_end.femtoseconds();
     const std::uint64_t frames = task.frames == 0 ? 1 : task.frames;
     for (std::uint64_t k = 1; k <= frames; ++k) {

@@ -1,13 +1,12 @@
 #pragma once
 // Executing a validated scenario. run_scenario() walks the document's
-// tasks and reproduces, metric for metric, the structure of the
-// hard-coded benches each task kind replaces: the same SweepRunner /
-// parallel_for call pattern (so exec.jobs / exec.items counters match),
-// the same ShardedCounter and ErrorCounter usage, the same gauge and
-// histogram names under the task's prefix. A golden scenario mirroring
-// bench_fig9_ber_sj therefore produces a report that diffs bit-identical
-// under scripts/bench_diff.py --require-identical-counters — CI enforces
-// exactly that.
+// tasks; each task kind has a fixed metric structure: the same
+// SweepRunner / parallel_for call pattern (so exec.jobs / exec.items
+// counters are stable), the same ShardedCounter and ErrorCounter usage,
+// the same gauge and histogram names under the task's prefix. A committed
+// scenario's report therefore diffs bit-identical against its golden
+// bench/reports/BENCH_scenario_<name>.json under scripts/bench_diff.py
+// --require-identical-counters — CI enforces exactly that.
 //
 // Besides metrics, every task returns a deterministic TaskResult
 // (scalars + series) that depends only on (document, seed, thread-count-
@@ -31,7 +30,7 @@ struct ScenarioContext {
     obs::MetricsRegistry* metrics = nullptr;  ///< required
     exec::ThreadPool* pool = nullptr;         ///< required
     std::uint64_t seed = 1;
-    bool verbose = false;  ///< print bench-style tables to stdout
+    bool verbose = false;  ///< print per-lane / per-check lines to stdout
     /// When set, health_probe tasks wire lane-health lock-loss dumps (and
     /// the receiver's own fault hooks) into this recorder.
     obs::FlightRecorder* flight = nullptr;

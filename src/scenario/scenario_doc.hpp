@@ -4,8 +4,8 @@
 // (channel count and wiring, jitter stack, statmodel knobs, sweep grids,
 // MC budgets, tasks) as data; the compiler (scenario/compile.hpp) lowers
 // a validated document onto the existing object graph and the runner
-// (scenario/run.hpp) executes it with the exact metric structure of the
-// hard-coded benches it replaces.
+// (scenario/run.hpp) executes it with a fixed metric structure per task
+// kind, pinned by the golden reports under bench/reports/.
 //
 // Format sketch (JSON, parsed with the strict obs/json_parse parser):
 //
@@ -21,8 +21,8 @@
 // forms — [..] literal, {"values": [..]}, {"linspace"|"logspace":
 // {"from": a, "to": b, "points": n}}, {"steps": {"from": a, "to": b,
 // "step": s}} — expanded at load time through util::linspace/logspace so
-// a scenario reproduces the exact grid doubles of the C++ bench it
-// mirrors.
+// a scenario reproduces the exact grid doubles of the equivalent C++
+// util::logspace/linspace call.
 //
 // Validation follows the qsoc netlist idiom: parse, then structural
 // validation that is LOUD — unknown keys anywhere, unconnected or
@@ -100,13 +100,13 @@ struct TaskSpec {
     std::string prefix;
 
     // kBerSurface: statistical-model BER over a sweep grid, optionally
-    // followed by a JTOL contour (replicates bench_fig9_ber_sj).
+    // followed by a JTOL contour (Fig 9: scenarios/fig9_ber_sj.json).
     std::vector<AxisSpec> axes;
     bool has_jtol = false;
     JtolSpec jtol;
 
     // kBaselineJtol: gated-oscillator statmodel vs bang-bang vs
-    // phase-interpolator CDRs (replicates bench_baseline_jtol).
+    // phase-interpolator CDRs (scenarios/baseline_jtol.json).
     std::vector<double> jtol_freqs;
     std::uint64_t jtol_bits = 40000;
     double ber_target = 1e-12;

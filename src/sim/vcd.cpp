@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace gcdr::sim {
 
@@ -73,9 +74,7 @@ std::string VcdWriter::render(const std::string& module_name,
     std::vector<bool> state = state_in;
     std::vector<Change> window;
     for (std::size_t i = 0; i < changes_.size(); ++i) {
-        const Change& c = max_changes_ == 0
-                              ? changes_[i]
-                              : changes_[(evict_pos_ + i) % changes_.size()];
+        const Change& c = change_at(i);
         if (c.time_fs < t0_fs) {
             state[c.signal] = c.value;
         } else if (c.time_fs <= t1_fs) {
@@ -123,6 +122,60 @@ std::string VcdWriter::to_string(const std::string& module_name) const {
 std::string VcdWriter::to_string_window(std::int64_t t0_fs, std::int64_t t1_fs,
                                         const std::string& module_name) const {
     return render(module_name, initial_, t0_fs, t1_fs);
+}
+
+std::vector<SimTime> VcdWriter::edges_of(const std::string& wire_name,
+                                         bool rising_only) const {
+    const auto it = std::find(names_.begin(), names_.end(), wire_name);
+    if (it == names_.end()) {
+        std::string msg = "VcdWriter::edges_of: wire '" + wire_name +
+                          "' is not watched; watched wires:";
+        for (const auto& n : names_) msg += " '" + n + "'";
+        throw std::invalid_argument(msg);
+    }
+    const auto signal = static_cast<std::size_t>(it - names_.begin());
+    std::vector<SimTime> out;
+    for (std::size_t i = 0; i < changes_.size(); ++i) {
+        const Change& c = change_at(i);
+        if (c.signal == signal && (!rising_only || c.value)) {
+            out.push_back(SimTime{c.time_fs});
+        }
+    }
+    return out;
+}
+
+std::string VcdWriter::ascii_diagram(SimTime t0, SimTime t1,
+                                     std::size_t columns) const {
+    std::size_t label_width = 0;
+    for (const auto& n : names_) label_width = std::max(label_width, n.size());
+    ++label_width;  // one space between the longest label and its row
+    std::string out;
+    out.reserve(names_.size() * (label_width + columns + 1));
+    const double span = static_cast<double>((t1 - t0).femtoseconds());
+    for (std::size_t w = 0; w < names_.size(); ++w) {
+        // Reconstruct the level in each time bin from the change list.
+        bool level = initial_[w];
+        std::size_t ci = 0;
+        out += names_[w];
+        out.append(label_width - names_[w].size(), ' ');
+        for (std::size_t c = 0; c < columns; ++c) {
+            const std::int64_t bin_end_fs =
+                t0.femtoseconds() +
+                static_cast<std::int64_t>(span * static_cast<double>(c + 1) /
+                                          static_cast<double>(columns));
+            bool toggled = false;
+            for (; ci < changes_.size() && change_at(ci).time_fs <= bin_end_fs;
+                 ++ci) {
+                if (change_at(ci).signal == w) {
+                    level = change_at(ci).value;
+                    toggled = true;
+                }
+            }
+            out += toggled ? '|' : (level ? '#' : '_');
+        }
+        out += '\n';
+    }
+    return out;
 }
 
 bool VcdWriter::write_file(const std::string& path,

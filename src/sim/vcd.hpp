@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/wire.hpp"
+#include "util/sim_time.hpp"
 
 namespace gcdr::sim {
 
@@ -48,6 +49,22 @@ public:
                       std::int64_t t1_fs,
                       const std::string& module_name = "gcco_cdr") const;
 
+    /// Transition times of one watched wire (as named in the dump, spaces
+    /// replaced by '_'), optionally rising edges only, in time order. A
+    /// watched wire with no retained transitions returns an empty vector;
+    /// a name that was never watched throws std::invalid_argument listing
+    /// the watched wires, so a typo cannot pass as "no edges".
+    [[nodiscard]] std::vector<SimTime> edges_of(const std::string& wire_name,
+                                                bool rising_only = false) const;
+
+    /// Render an ASCII timing diagram over [t0, t1] with `columns` time
+    /// bins, one row per wire: '#' high, '_' low, '|' a bin holding a
+    /// transition — a textual Fig 8. Labels are padded to the longest
+    /// name plus one space, so every row's waveform starts in the same
+    /// column.
+    [[nodiscard]] std::string ascii_diagram(SimTime t0, SimTime t1,
+                                            std::size_t columns = 100) const;
+
     [[nodiscard]] std::size_t signal_count() const { return names_.size(); }
     [[nodiscard]] std::size_t change_count() const { return changes_.size(); }
 
@@ -58,6 +75,12 @@ private:
         bool value;
     };
 
+    /// The i-th retained change in time order (unwraps the ring).
+    [[nodiscard]] const Change& change_at(std::size_t i) const {
+        return max_changes_ == 0
+                   ? changes_[i]
+                   : changes_[(evict_pos_ + i) % changes_.size()];
+    }
     [[nodiscard]] std::string id_of(std::size_t index) const;
     void record(std::int64_t time_fs, std::size_t signal, bool value);
     /// Header + $dumpvars with `state` as the initial values, then every

@@ -1,7 +1,7 @@
 // Unit tests for the telemetry subsystem (obs/): counter/gauge/histogram
 // semantics, JSON export well-formedness and round-trip of expected keys,
 // the bench run-report document, and instrumented components reporting
-// exact tallies (Scheduler event counts, Tracer sample cap).
+// exact tallies (Scheduler event counts, Wire transitions).
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "obs/report.hpp"
 #include "obs/sharded.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 #include "sim/wire.hpp"
 
 namespace gcdr::obs {
@@ -570,41 +569,6 @@ TEST(InstrumentedWire, CountsCommittedTransitions) {
     w.post_transport(SimTime::ps(30), false);  // no transition: same value
     s.run();
     EXPECT_EQ(reg.counter("wire.d.transitions").value(), 2u);
-}
-
-TEST(TracerCap, DropsAndCountsBeyondMaxSamples) {
-    MetricsRegistry reg;
-    sim::Scheduler s;
-    sim::Wire w(s, "clk", false);
-    sim::Tracer tr;
-    tr.set_max_samples(5);
-    tr.attach_metrics(reg);
-    tr.watch(w);
-    constexpr int kToggles = 20;
-    for (int i = 1; i <= kToggles; ++i) {
-        w.post_transport(SimTime::ps(10 * i), i % 2 == 1);
-    }
-    s.run();
-    EXPECT_EQ(tr.samples().size(), 5u);
-    EXPECT_EQ(tr.dropped_samples(), static_cast<std::uint64_t>(kToggles - 5));
-    EXPECT_EQ(reg.counter("trace.dropped_samples").value(),
-              static_cast<std::uint64_t>(kToggles - 5));
-    EXPECT_EQ(reg.gauge("trace.samples").value(), 5.0);
-    // The kept samples are the earliest ones, still in time order.
-    EXPECT_EQ(tr.samples().back().time, SimTime::ps(50));
-}
-
-TEST(TracerCap, ZeroMeansUnlimited) {
-    sim::Scheduler s;
-    sim::Wire w(s, "d", false);
-    sim::Tracer tr;  // default: no cap
-    tr.watch(w);
-    for (int i = 1; i <= 100; ++i) {
-        w.post_transport(SimTime::ps(i), i % 2 == 1);
-    }
-    s.run();
-    EXPECT_EQ(tr.samples().size(), 100u);
-    EXPECT_EQ(tr.dropped_samples(), 0u);
 }
 
 }  // namespace

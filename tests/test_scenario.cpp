@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
 #include "obs/json_parse.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/compile.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/run.hpp"
@@ -614,6 +616,80 @@ TEST(ScenarioFuzz, SeedsProduceDistinctValidDocuments) {
     EXPECT_EQ(std::unique(hashes.begin(), hashes.end()), hashes.end())
         << "fuzz seeds collided on identical documents";
 }
+
+// --- execution -----------------------------------------------------------
+
+ScenarioResult run_with_pool(const ScenarioDoc& doc, std::size_t threads,
+                             obs::MetricsRegistry& reg) {
+    exec::ThreadPool pool(threads);
+    ScenarioContext ctx;
+    ctx.metrics = &reg;
+    ctx.pool = &pool;
+    ctx.seed = 1;
+    return run_scenario(doc, ctx);
+}
+
+TEST(ScenarioRun, NetlistRunDrivesPatternSourceAtItsRateOffset) {
+    // netlist_run and health_probe share one lane stimulus: a pattern
+    // source drives exactly pattern x repeat bits (20 alternating bits =
+    // 20 DIN transitions, not the 2000-bit PRBS default) at the source's
+    // rate offset, so both tasks see the same decisions.
+    ScenarioDoc doc;
+    std::vector<Diagnostic> diags;
+    ASSERT_TRUE(load(R"({"schema":"gcdr.scenario/v1","name":"pat",
+        "netlist":{"instances":{
+            "s":{"kind":"source","pattern":[1,0],"repeat":10,
+                 "rate_offset":0.2},
+            "c":{"kind":"channel"},"m":{"kind":"monitor"}},
+          "wires":[{"from":"s.out","to":"c.din"},
+                   {"from":"c.dout","to":"m.in"}]},
+        "tasks":[{"kind":"netlist_run","prefix":"nr"},
+                 {"kind":"health_probe","prefix":"hp","frames":2}]})",
+                     doc, diags))
+        << (diags.empty() ? "" : diags[0].render());
+    obs::MetricsRegistry reg;
+    (void)run_with_pool(doc, 1, reg);
+    EXPECT_EQ(reg.counter("nr.cdr.ch0.din.transitions").value(), 20u);
+    EXPECT_EQ(reg.counter("hp.cdr.ch0.din.transitions").value(), 20u);
+    EXPECT_EQ(reg.counter("nr.cdr.ch0.decisions").value(),
+              reg.counter("hp.cdr.ch0.decisions").value());
+}
+
+// Every committed scenario: the deterministic payload is byte-identical
+// at pool sizes 1 and 4 (the thread-count invariance contract).
+std::vector<std::string> committed_scenarios() {
+    std::vector<std::string> names;
+    for (const auto& e :
+         std::filesystem::directory_iterator(GCDR_SCENARIOS_DIR)) {
+        if (e.path().extension() == ".json") {
+            names.push_back(e.path().stem().string());
+        }
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+class CommittedScenario : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CommittedScenario, PayloadIsThreadCountInvariant) {
+    const std::string path =
+        std::string(GCDR_SCENARIOS_DIR) + "/" + GetParam() + ".json";
+    ScenarioDoc doc;
+    std::vector<Diagnostic> diags;
+    ASSERT_TRUE(scenario_from_file(path, doc, diags)) << path;
+    obs::MetricsRegistry reg1, reg4;
+    const std::string p1 =
+        result_payload_json(doc, run_with_pool(doc, 1, reg1));
+    const std::string p4 =
+        result_payload_json(doc, run_with_pool(doc, 4, reg4));
+    EXPECT_EQ(p1, p4) << path;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, CommittedScenario, ::testing::ValuesIn(committed_scenarios()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+        return info.param;
+    });
 
 }  // namespace
 }  // namespace gcdr::scenario

@@ -1,5 +1,6 @@
 // Unit tests for the discrete-event kernel: scheduler ordering, VHDL
-// transport-delay semantics on Wire, and the waveform tracer.
+// transport-delay semantics on Wire, and the VcdWriter's edge and ASCII
+// diagram views.
 
 #include <gtest/gtest.h>
 
@@ -7,11 +8,12 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
+#include "sim/vcd.hpp"
 #include "sim/wire.hpp"
 #include "util/rng.hpp"
 
@@ -279,49 +281,87 @@ TEST(Wire, ListenersSeeCommittedValueAtCommitTime) {
     EXPECT_EQ(b.last_change(), SimTime::ps(110));
 }
 
-TEST(Tracer, RecordsTransitionsAndEdges) {
+TEST(Vcd, RecordsTransitionsAndEdges) {
     Scheduler s;
     Wire w(s, "clk");
-    Tracer tr;
-    tr.watch(w);
+    VcdWriter vcd;
+    vcd.watch(w);
     for (int i = 1; i <= 6; ++i) {
         s.schedule_at(SimTime::ps(i * 100),
                       [&w, i] { w.set_now(i % 2 == 1); });
     }
     s.run();
-    EXPECT_EQ(tr.samples().size(), 6u);
-    const auto rising = tr.edges_of("clk", /*rising_only=*/true);
+    EXPECT_EQ(vcd.change_count(), 6u);
+    const auto rising = vcd.edges_of("clk", /*rising_only=*/true);
     ASSERT_EQ(rising.size(), 3u);
     EXPECT_EQ(rising[0], SimTime::ps(100));
     EXPECT_EQ(rising[2], SimTime::ps(500));
-    const auto all = tr.edges_of("clk");
+    const auto all = vcd.edges_of("clk");
     EXPECT_EQ(all.size(), 6u);
 }
 
-TEST(Tracer, AsciiDiagramShowsLevels) {
+TEST(Vcd, EdgesOfUnknownWireThrowsListingWatchedWires) {
+    Scheduler s;
+    Wire w(s, "clk");
+    VcdWriter vcd;
+    vcd.watch(w);
+    try {
+        (void)vcd.edges_of("clock");
+        FAIL() << "unknown wire name must throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("'clk'"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Vcd, AsciiDiagramShowsLevels) {
     Scheduler s;
     Wire w(s, "data");
-    Tracer tr;
-    tr.watch(w);
+    VcdWriter vcd;
+    vcd.watch(w);
     s.schedule_at(SimTime::ps(500), [&] { w.set_now(true); });
     s.run();
-    const auto art = tr.ascii_diagram(SimTime::ps(0), SimTime::ps(1000), 10);
+    const auto art = vcd.ascii_diagram(SimTime::ps(0), SimTime::ps(1000), 10);
     // Low for the first half, high for the second.
     EXPECT_NE(art.find("data"), std::string::npos);
     EXPECT_NE(art.find('_'), std::string::npos);
     EXPECT_NE(art.find('#'), std::string::npos);
 }
 
-TEST(Tracer, CsvHasHeaderAndRows) {
+TEST(Vcd, AsciiDiagramRowsStartInTheSameColumn) {
+    // Labels shorter and longer than 10 characters: every waveform must
+    // still start one column past the longest label, so edges on
+    // different rows line up.
     Scheduler s;
-    Wire w(s, "x");
-    Tracer tr;
-    tr.watch(w);
-    s.schedule_at(SimTime::ps(250), [&] { w.set_now(true); });
+    Wire a(s, "d");
+    Wire b(s, "a_rather_long_wire_name");
+    Wire c(s, "mid_length");
+    VcdWriter vcd;
+    vcd.watch(a);
+    vcd.watch(b);
+    vcd.watch(c);
+    s.schedule_at(SimTime::ps(500), [&] {
+        a.set_now(true);
+        b.set_now(true);
+        c.set_now(true);
+    });
     s.run();
-    const auto csv = tr.to_csv();
-    EXPECT_NE(csv.find("time_ps,wire,value"), std::string::npos);
-    EXPECT_NE(csv.find("250,x,1"), std::string::npos);
+    constexpr std::size_t kColumns = 10;
+    const std::string art =
+        vcd.ascii_diagram(SimTime::ps(0), SimTime::ps(1000), kColumns);
+    const std::size_t start = std::string("a_rather_long_wire_name").size() + 1;
+    std::size_t rows = 0;
+    for (std::size_t pos = 0; pos < art.size();) {
+        const std::size_t eol = art.find('\n', pos);
+        ASSERT_NE(eol, std::string::npos);
+        const std::string row = art.substr(pos, eol - pos);
+        ASSERT_EQ(row.size(), start + kColumns) << row;
+        EXPECT_EQ(row.substr(start), "____|#####") << row;
+        EXPECT_EQ(row[start - 1], ' ') << row;
+        pos = eol + 1;
+        ++rows;
+    }
+    EXPECT_EQ(rows, 3u);
 }
 
 }  // namespace
