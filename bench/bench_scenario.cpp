@@ -1,10 +1,11 @@
 // Declarative-scenario runner: load a gcdr.scenario/v1 config
 // (--scenario FILE), validate it, compile it onto the existing object
 // graph and execute its tasks. This is the one bench path for the
-// workloads scenarios describe (Fig 8, Fig 9, the baseline-architecture
-// JTOL comparison, ...): CI diffs each committed scenario's --json report
-// against its golden bench/reports/BENCH_scenario_<name>.json with
-// scripts/bench_diff.py --require-identical-counters.
+// workloads scenarios describe (Figs 8, 9, 10, 13 and 17, the FTOL scan,
+// the baseline-architecture JTOL comparison, ...): CI diffs each
+// committed scenario's --json report against its golden
+// bench/reports/BENCH_scenario_<name>.json with scripts/bench_diff.py
+// --require-identical-counters.
 //
 //   bench_scenario --scenario scenarios/fig9_ber_sj.json --json out.json
 //   bench_scenario --fuzz-seed 42        # scenario::random_valid(42)
@@ -12,11 +13,13 @@
 //
 // Without --quiet, ber_surface and baseline_jtol tasks print the paper's
 // tables (log10(BER) grid, JTOL vs mask, architecture comparison) from
-// their deterministic TaskResult series.
+// their deterministic TaskResult series; ftol and channel_sweep tasks
+// print one row per grid point with a column per series.
 // --check exits nonzero when any task gate fails (differential
 // disagreement, JTOL mask violation, unlocked netlist channel).
 // Validation failures print every diagnostic (file:line:col) and exit 2.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -59,14 +62,10 @@ void print_ber_surface(const scenario::TaskSpec& task,
     std::printf("%*s", static_cast<int>(10 * lead), "");
     for (double v : cols) std::printf(" %6.3g", v);
     std::printf("\n");
+    const exec::SweepGrid grid = scenario::compile_grid(task);
     for (std::size_t row = 0; row * cols.size() < ber.size(); ++row) {
-        std::vector<double> coords(lead);
-        for (std::size_t a = lead, rem = row; a-- > 0;) {
-            const std::vector<double>& vals = task.axes[a].values;
-            coords[a] = vals[rem % vals.size()];
-            rem /= vals.size();
-        }
-        for (double c : coords) std::printf("%10.2e", c);
+        const std::vector<double> at = grid.point(row * cols.size(), 0).value;
+        for (std::size_t a = 0; a < lead; ++a) std::printf("%10.2e", at[a]);
         for (std::size_t c = 0; c < cols.size(); ++c) {
             std::printf(" %s",
                         bench::log_ber(ber[row * cols.size() + c]).c_str());
@@ -92,6 +91,32 @@ void print_ber_surface(const scenario::TaskSpec& task,
         if (masked) {
             const double need = mask.amplitude_at(f_hz);
             std::printf(" %12.3f %6s", need, tol[i] >= need ? "yes" : "NO");
+        }
+        std::printf("\n");
+    }
+}
+
+// ftol and channel_sweep: one row per grid point (its axis values), one
+// column per result series.
+void print_point_table(const scenario::TaskSpec& task,
+                       const scenario::TaskResult& r) {
+    bench::section(r.prefix + " (" + r.kind + ")");
+    std::vector<int> widths;
+    auto head = [&](const std::string& name) {
+        widths.push_back(std::max(14, static_cast<int>(name.size())));
+        std::printf(" %*s", widths.back(), name.c_str());
+    };
+    for (const auto& axis : task.axes) head(axis.name);
+    for (const auto& [name, values] : r.series) head(name);
+    std::printf("\n");
+    const exec::SweepGrid grid = scenario::compile_grid(task);
+    for (std::size_t row = 0; row < grid.size(); ++row) {
+        std::vector<double> cells = grid.point(row, 0).value;
+        for (const auto& [name, values] : r.series) {
+            cells.push_back(values[row]);
+        }
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            std::printf(" %*.6g", widths[c], cells[c]);
         }
         std::printf("\n");
     }
@@ -138,6 +163,7 @@ void print_baseline_jtol(const scenario::TaskSpec& task,
 
 int main(int argc, char** argv) {
     auto opts = bench::Options::parse(argc, argv);
+    std::string scenario_path;
     bool check = false;
     bool print_resolved = false;
     bool have_fuzz_seed = false;
@@ -147,12 +173,15 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--print-resolved") == 0) {
             print_resolved = true;
         }
+        if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
+            scenario_path = argv[++i];
+        }
         if (std::strcmp(argv[i], "--fuzz-seed") == 0 && i + 1 < argc) {
             have_fuzz_seed = true;
             fuzz_seed = std::strtoull(argv[++i], nullptr, 10);
         }
     }
-    if (opts.scenario_path.empty() && !have_fuzz_seed) {
+    if (scenario_path.empty() && !have_fuzz_seed) {
         std::fprintf(stderr,
                      "usage: bench_scenario --scenario FILE [--check] "
                      "[--print-resolved] | --fuzz-seed N\n");
@@ -166,7 +195,7 @@ int main(int argc, char** argv) {
         source_name = "<fuzz:" + std::to_string(fuzz_seed) + ">";
     } else {
         std::vector<scenario::Diagnostic> diags;
-        if (!scenario::scenario_from_file(opts.scenario_path, doc,
+        if (!scenario::scenario_from_file(scenario_path, doc,
                                           diags)) {
             for (const auto& d : diags) {
                 std::fprintf(stderr, "%s\n", d.render().c_str());
@@ -175,7 +204,7 @@ int main(int argc, char** argv) {
                          diags.size());
             return 2;
         }
-        source_name = opts.scenario_path;
+        source_name = scenario_path;
     }
     const std::uint64_t hash = scenario::scenario_hash(doc);
     const std::string hash_hex = util::hash_hex(hash);
@@ -226,6 +255,10 @@ int main(int argc, char** argv) {
                 print_ber_surface(task, result.tasks[i]);
             } else if (task.kind == scenario::TaskSpec::Kind::kBaselineJtol) {
                 print_baseline_jtol(task, result.tasks[i]);
+            } else if (task.kind == scenario::TaskSpec::Kind::kFtol ||
+                       task.kind ==
+                           scenario::TaskSpec::Kind::kChannelSweep) {
+                print_point_table(task, result.tasks[i]);
             }
         }
         bench::section("result");

@@ -89,9 +89,6 @@ public:
                 std::uint64_t base_seed = 0)
         : pool_(&pool), grid_(std::move(grid)), base_seed_(base_seed) {}
 
-    [[nodiscard]] const SweepGrid& grid() const { return grid_; }
-    [[nodiscard]] std::uint64_t base_seed() const { return base_seed_; }
-
     /// Evaluate fn at every grid point; fn: (const SweepPoint&) -> R with
     /// R default-constructible. Point evaluation order is unspecified;
     /// the returned vector's order is not.
@@ -114,13 +111,6 @@ public:
         });
         if (progress) progress->finish();
         return out;
-    }
-
-    /// map() for lambdas taking only the axis values, common for
-    /// deterministic statistical-model sweeps: fn(p.value) -> R.
-    template <typename R, typename F>
-    [[nodiscard]] std::vector<R> map_values(F&& fn) const {
-        return map<R>([&fn](const SweepPoint& p) { return fn(p.value); });
     }
 
 private:

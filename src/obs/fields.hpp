@@ -108,8 +108,11 @@ struct Field {
     void (*write)(std::string& out, const Field&, const S&) = nullptr;
     Rule rule{};
     bool (*emit_if)(const S&) = nullptr;  ///< null: always emitted
-    /// Set for real-valued members, so they can be swept by name.
-    void (*set_real)(S&, double) = nullptr;
+    /// Set for numeric members, so they can be swept by name. An integer
+    /// member takes the value truncated; `integral` tells a caller to
+    /// accept only whole numbers.
+    void (*set_number)(S&, double) = nullptr;
+    bool integral = false;
 };
 
 /// Tables list keys in strictly increasing order, the canonical member
@@ -297,8 +300,9 @@ void write_member(std::string& out, const Field<owner_t<Path...>>& f,
 }
 
 template <auto... Path>
-void set_real_member(owner_t<Path...>& s, double x) {
-    member<Path...>(s) = x;
+void set_number_member(owner_t<Path...>& s, double x) {
+    auto& out = member<Path...>(s);
+    out = static_cast<std::remove_cvref_t<decltype(out)>>(x);
 }
 
 }  // namespace detail
@@ -314,8 +318,9 @@ constexpr Field<detail::owner_t<Path...>> field(
         std::declval<S&>()))>;
     Field<S> f{key, &detail::read_member<Path...>,
                &detail::write_member<Path...>, rule, emit_if};
-    if constexpr (std::is_same_v<T, double>) {
-        f.set_real = &detail::set_real_member<Path...>;
+    if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+        f.set_number = &detail::set_number_member<Path...>;
+        f.integral = std::is_integral_v<T>;
     }
     return f;
 }

@@ -1,6 +1,42 @@
 #include "scenario/compile.hpp"
 
+#include "obs/fields.hpp"
+
 namespace gcdr::scenario {
+
+namespace {
+
+/// One channel_sweep axis: its value rule and how a point value lands on
+/// the channel.
+struct ChannelAxis {
+    std::string_view name;
+    obs::Rule rule;
+    void (*apply)(cdr::ChannelConfig&, double);
+};
+
+constexpr ChannelAxis kChannelAxes[] = {
+    {"f_osc_hz", obs::rule(obs::between(1e9, 1e10), "want in [1e9, 1e10]"),
+     [](cdr::ChannelConfig& c, double f) { c.gcco.fc_hz = f; }},
+    // The statmodel's sign convention: positive delta = oscillator slow.
+    {"freq_offset", obs::rule(obs::between(-0.5, 0.5), "want in [-0.5, 0.5]"),
+     [](cdr::ChannelConfig& c, double delta) {
+         c.gcco.fc_hz = c.rate.bits_per_second() / (1.0 + delta);
+     }},
+    {"tau_ui", obs::rule({0.0, 4.0, true, false}, "want in (0, 4]"),
+     [](cdr::ChannelConfig& c, double tau) {
+         c.edge_detector.cell_delay = SimTime::from_seconds(
+             tau * c.rate.ui_seconds() / c.edge_detector.n_cells);
+     }},
+};
+
+const ChannelAxis* channel_axis(std::string_view name) {
+    for (const ChannelAxis& a : kChannelAxes) {
+        if (a.name == name) return &a;
+    }
+    return nullptr;
+}
+
+}  // namespace
 
 CompiledNetlist compile_netlist(const NetlistSpec& net) {
     CompiledNetlist out;
@@ -47,6 +83,28 @@ exec::SweepGrid compile_grid(const TaskSpec& task) {
         grid.axis(axis.name, axis.values);
     }
     return grid;
+}
+
+bool is_channel_axis(std::string_view name) {
+    return channel_axis(name) != nullptr;
+}
+
+std::string_view channel_axis_error(std::string_view name, double value) {
+    const ChannelAxis* a = channel_axis(name);
+    if (!a || a->rule.range.contains(value)) return {};
+    return a->rule.message;
+}
+
+cdr::ChannelConfig compile_channel(const ScenarioDoc& doc,
+                                   const TaskSpec& task,
+                                   const std::vector<double>& point) {
+    cdr::ChannelConfig cfg = cdr::ChannelConfig::nominal(
+        kPaperRate.bits_per_second(), doc.model.spec.ckj_uirms);
+    cfg.improved_sampling = task.improved_sampling;
+    for (std::size_t a = 0; a < task.axes.size(); ++a) {
+        channel_axis(task.axes[a].name)->apply(cfg, point[a]);
+    }
+    return cfg;
 }
 
 mc::McBudget compile_budget(const McSpec& mc, std::uint64_t base_seed) {

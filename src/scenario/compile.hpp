@@ -4,12 +4,14 @@
 // declarative instances/wires into a cdr::MultiChannelConfig plus one
 // CompiledLane per channel (the drive recipe: which PRBS, how many bits,
 // what skew); compile_grid()/compile_budget() map the sweep and MC
-// sections onto exec::SweepGrid and mc::McBudget. Compilation is total on
+// sections onto exec::SweepGrid and mc::McBudget; compile_channel() maps
+// one channel_sweep point onto a cdr::ChannelConfig. Compilation is total on
 // validated documents: every structural error is caught by the loader, so
 // these functions do not fail.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdr/multichannel.hpp"
@@ -44,9 +46,24 @@ struct CompiledNetlist {
 /// -enforced identical) channel instances via cdr::ChannelConfig::nominal.
 [[nodiscard]] CompiledNetlist compile_netlist(const NetlistSpec& net);
 
-/// Sweep grid of a ber_surface task, axes in document order (row-major
-/// points, last axis fastest).
+/// Sweep grid of a task's axes, in document order (row-major points,
+/// last axis fastest).
 [[nodiscard]] exec::SweepGrid compile_grid(const TaskSpec& task);
+
+/// The channel_sweep axes: "f_osc_hz", "freq_offset" (relative period
+/// offset delta, f_osc = rate / (1 + delta)) and "tau_ui" (edge-detector
+/// delay in UI). is_channel_axis() names them; channel_axis_error() is
+/// the rule message a value breaks, or empty when the value is valid.
+[[nodiscard]] bool is_channel_axis(std::string_view name);
+[[nodiscard]] std::string_view channel_axis_error(std::string_view name,
+                                                  double value);
+
+/// Channel of one channel_sweep grid point: nominal at the document's
+/// CKJ with the task's sampling tap, then each axis value applied in
+/// axis order.
+[[nodiscard]] cdr::ChannelConfig compile_channel(
+    const ScenarioDoc& doc, const TaskSpec& task,
+    const std::vector<double>& point);
 
 /// MC budget with the run's base seed filled in.
 [[nodiscard]] mc::McBudget compile_budget(const McSpec& mc,

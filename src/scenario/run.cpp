@@ -1,12 +1,14 @@
 #include "scenario/run.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "ber/bert.hpp"
 #include "cdr/baseline.hpp"
+#include "cdr/channel.hpp"
 #include "cdr/multichannel.hpp"
 #include "encoding/prbs.hpp"
 #include "exec/sweep.hpp"
@@ -28,6 +30,23 @@ namespace gcdr::scenario {
 
 namespace {
 
+TaskResult empty_result(const TaskSpec& task) {
+    TaskResult result;
+    result.prefix = task.prefix;
+    result.kind = task_kind_name(task.kind);
+    return result;
+}
+
+/// The document's model with one grid point's axis values applied.
+statmodel::ModelConfig model_at(const ScenarioDoc& doc, const TaskSpec& task,
+                                const exec::SweepPoint& p) {
+    statmodel::ModelConfig cfg = doc.model;
+    for (std::size_t a = 0; a < task.axes.size(); ++a) {
+        statmodel::set_model_field(cfg, task.axes[a].name, p.value[a]);
+    }
+    return cfg;
+}
+
 // --- ber_surface ---------------------------------------------------------
 // Fig 9's flow: one SweepRunner map over the grid (ShardedCounter on
 // <prefix>.ber_evals), histograms recorded serially in row-major order
@@ -39,11 +58,8 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
                            const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
     exec::ThreadPool& pool = *ctx.pool;
-    TaskResult result;
-    result.prefix = task.prefix;
-    result.kind = task_kind_name(task.kind);
+    TaskResult result = empty_result(task);
 
-    const statmodel::ModelConfig base = doc.model;
     const exec::SweepGrid grid = compile_grid(task);
     const exec::SweepRunner runner(pool, grid, ctx.seed);
 
@@ -54,13 +70,8 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
         obs::ScopedTimer t(&reg, task.prefix + ".surface_seconds");
         obs::ShardedCounter eval_shards(*evals, pool.size());
         surface = runner.map<double>([&](const exec::SweepPoint& p) {
-            statmodel::ModelConfig cfg = base;
-            for (std::size_t a = 0; a < task.axes.size(); ++a) {
-                (void)statmodel::set_model_field(cfg, task.axes[a].name,
-                                                 p.value[a]);
-            }
             eval_shards.inc(exec::ThreadPool::lane_index());
-            return statmodel::ber_of(cfg);
+            return statmodel::ber_of(model_at(doc, task, p));
         });
         eval_shards.flush();
     }
@@ -73,7 +84,7 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
         std::vector<masks::MaskPoint> contour;
         {
             obs::ScopedTimer t(&reg, task.prefix + ".jtol_contour_seconds");
-            contour = statmodel::jtol_curve(base, task.jtol.freqs,
+            contour = statmodel::jtol_curve(doc.model, task.jtol.freqs,
                                             kPaperRate,
                                             task.jtol.ber_target, &pool);
         }
@@ -101,6 +112,93 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
     return result;
 }
 
+// --- ftol ----------------------------------------------------------------
+// Frequency tolerance (Sec. 2.3) at every point of a model grid: one
+// SweepRunner map of statmodel::ftol, which bisects freq_offset itself.
+
+TaskResult run_ftol(const ScenarioDoc& doc, const TaskSpec& task,
+                    const ScenarioContext& ctx) {
+    obs::MetricsRegistry& reg = *ctx.metrics;
+    TaskResult result = empty_result(task);
+
+    std::vector<double> tol;
+    {
+        obs::ScopedTimer t(&reg, task.prefix + ".ftol_seconds");
+        tol = exec::SweepRunner(*ctx.pool, compile_grid(task), ctx.seed)
+                  .map<double>([&](const exec::SweepPoint& p) {
+                      return statmodel::ftol(model_at(doc, task, p),
+                                             task.ber_target);
+                  });
+    }
+    for (double x : tol) reg.histogram(task.prefix + ".ftol_rel").record(x);
+    result.series.emplace_back("ftol_rel", std::move(tol));
+    return result;
+}
+
+// --- channel_sweep -------------------------------------------------------
+// The behavioral channel over a grid of channel axes (Fig 13's f_osc x
+// tau, the FTOL scan's offsets): each point builds its own Scheduler,
+// Rng(point seed) and GccoChannel, drives `bits` of PRBS7 jittered by the
+// document's jitter spec from 4 ns, and runs to the start plus bits - 4
+// UI. A zero-jitter document makes the channel jitter-free too: its CKJ
+// sets the ring's stage jitter.
+
+/// channel_sweep's series, in the order run_channel_point returns them.
+constexpr const char* kChannelSeries[] = {"ber", "mean_margin_ui",
+                                          "min_margin_ui", "samples"};
+using ChannelPoint = std::array<double, std::size(kChannelSeries)>;
+
+ChannelPoint run_channel_point(const ScenarioDoc& doc, const TaskSpec& task,
+                               const exec::SweepPoint& p) {
+    const cdr::ChannelConfig cfg = compile_channel(doc, task, p.value);
+    sim::Scheduler sched;
+    Rng rng(p.seed);
+    cdr::GccoChannel ch(sched, rng, cfg);
+    encoding::PrbsGenerator gen(encoding::PrbsOrder::kPrbs7);
+    jitter::StreamParams sp;
+    sp.spec = doc.model.spec;
+    sp.start = SimTime::ns(4);
+    const auto n = static_cast<std::size_t>(task.bits);
+    ch.drive(jitter::jittered_edges(gen.bits(n), sp, rng));
+    sched.run_until(sp.start +
+                    cfg.rate.ui_to_time(static_cast<double>(n) - 4.0));
+
+    const auto& m = ch.margins_ui();
+    double mean = 0.0, min = 0.0;
+    if (!m.empty()) {
+        min = *std::min_element(m.begin(), m.end());
+        for (double x : m) mean += x;
+        mean /= static_cast<double>(m.size());
+    }
+    return {ch.measured_prbs_ber(encoding::PrbsOrder::kPrbs7), mean, min,
+            static_cast<double>(m.size())};
+}
+
+TaskResult run_channel_sweep(const ScenarioDoc& doc, const TaskSpec& task,
+                             const ScenarioContext& ctx) {
+    obs::MetricsRegistry& reg = *ctx.metrics;
+    TaskResult result = empty_result(task);
+    std::vector<ChannelPoint> points;
+    {
+        obs::ScopedTimer t(&reg, task.prefix + ".sweep_seconds");
+        points = exec::SweepRunner(*ctx.pool, compile_grid(task), ctx.seed)
+                     .map<ChannelPoint>([&](const exec::SweepPoint& p) {
+                         return run_channel_point(doc, task, p);
+                     });
+    }
+    reg.counter(task.prefix + ".points").inc(points.size());
+    for (std::size_t k = 0; k < std::size(kChannelSeries); ++k) {
+        const std::string name = kChannelSeries[k];
+        std::vector<double> column;
+        for (const ChannelPoint& pt : points) {
+            reg.histogram(task.prefix + "." + name).record(pt[k]);
+            column.push_back(pt[k]);
+        }
+        result.series.emplace_back(name, std::move(column));
+    }
+    return result;
+}
+
 // --- baseline_jtol -------------------------------------------------------
 // The architecture comparison: sweep 1 maps the three architectures over
 // the JTOL frequencies; sweep 2 (when the document asks for it) maps the
@@ -111,9 +209,7 @@ TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
                              const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
     exec::ThreadPool& pool = *ctx.pool;
-    TaskResult result;
-    result.prefix = task.prefix;
-    result.kind = task_kind_name(task.kind);
+    TaskResult result = empty_result(task);
 
     const statmodel::ModelConfig gcco_cfg = doc.model;
     jitter::JitterSpec base = doc.model.spec;
@@ -293,9 +389,7 @@ SimTime drive_lanes(cdr::MultiChannelCdr& rx, const CompiledNetlist& cn,
 TaskResult run_netlist(const ScenarioDoc& doc, const TaskSpec& task,
                        const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
-    TaskResult result;
-    result.prefix = task.prefix;
-    result.kind = task_kind_name(task.kind);
+    TaskResult result = empty_result(task);
 
     const CompiledNetlist cn = compile_netlist(doc.netlist);
     cdr::MultiChannelCdr rx(ctx.seed, cn.config);
@@ -343,9 +437,7 @@ TaskResult run_netlist(const ScenarioDoc& doc, const TaskSpec& task,
 TaskResult run_health_probe(const ScenarioDoc& doc, const TaskSpec& task,
                             const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
-    TaskResult result;
-    result.prefix = task.prefix;
-    result.kind = task_kind_name(task.kind);
+    TaskResult result = empty_result(task);
 
     const CompiledNetlist cn = compile_netlist(doc.netlist);
     cdr::MultiChannelCdr rx(ctx.seed, cn.config);
@@ -417,9 +509,7 @@ TaskResult run_differential(const ScenarioDoc& doc, const TaskSpec& task,
                             const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
     exec::ThreadPool& pool = *ctx.pool;
-    TaskResult result;
-    result.prefix = task.prefix;
-    result.kind = task_kind_name(task.kind);
+    TaskResult result = empty_result(task);
 
     const statmodel::ModelConfig cfg = doc.model;
     const double sm = statmodel::ber_of(cfg);
@@ -501,30 +591,22 @@ TaskResult run_differential(const ScenarioDoc& doc, const TaskSpec& task,
     return result;
 }
 
+using TaskRunner = TaskResult (*)(const ScenarioDoc&, const TaskSpec&,
+                                  const ScenarioContext&);
+
+/// Runner of each task kind, in TaskSpec::Kind order.
+constexpr TaskRunner kRunners[] = {
+    run_ber_surface,  run_baseline_jtol, run_netlist, run_differential,
+    run_health_probe, run_ftol,          run_channel_sweep};
+
 }  // namespace
 
 ScenarioResult run_scenario(const ScenarioDoc& doc,
                             const ScenarioContext& ctx) {
     ScenarioResult result;
     for (const TaskSpec& task : doc.tasks) {
-        TaskResult tr;
-        switch (task.kind) {
-            case TaskSpec::Kind::kBerSurface:
-                tr = run_ber_surface(doc, task, ctx);
-                break;
-            case TaskSpec::Kind::kBaselineJtol:
-                tr = run_baseline_jtol(doc, task, ctx);
-                break;
-            case TaskSpec::Kind::kNetlistRun:
-                tr = run_netlist(doc, task, ctx);
-                break;
-            case TaskSpec::Kind::kDifferential:
-                tr = run_differential(doc, task, ctx);
-                break;
-            case TaskSpec::Kind::kHealthProbe:
-                tr = run_health_probe(doc, task, ctx);
-                break;
-        }
+        TaskResult tr =
+            kRunners[static_cast<std::size_t>(task.kind)](doc, task, ctx);
         result.ok = result.ok && tr.ok;
         result.tasks.push_back(std::move(tr));
     }

@@ -10,6 +10,7 @@
 
 #include "obs/canonical.hpp"
 #include "obs/fields.hpp"
+#include "scenario/compile.hpp"
 #include "statmodel/model_fields.hpp"
 #include "util/hash.hpp"
 #include "util/mathx.hpp"
@@ -21,7 +22,7 @@ namespace {
 /// Task kind names, in TaskSpec::Kind order.
 constexpr std::string_view kTaskKinds[] = {
     "ber_surface", "baseline_jtol", "netlist_run", "differential",
-    "health_probe"};
+    "health_probe", "ftol", "channel_sweep"};
 
 /// Bound on expanded sweep values — a generator that asks for more is a
 /// config bug, not a workload.
@@ -372,6 +373,20 @@ constexpr obs::Field<JtolSpec> kJtolFields[] = {
 constexpr std::uint64_t kFreqsBit =
     obs::field_bit<JtolSpec>(kJtolFields, "freqs");
 
+/// The names a task's sweep axes may take and the rule each value meets:
+/// the model's numeric fields (ber_surface, ftol) or the channel axes
+/// (channel_sweep).
+struct AxisNames {
+    std::string_view what;  ///< "model field" / "channel axis"
+    bool (*known)(std::string_view name);
+    std::string_view (*error)(std::string_view name, double value);
+};
+constexpr AxisNames kModelAxisNames{"model field", statmodel::is_model_axis,
+                                    statmodel::model_axis_error};
+constexpr AxisNames kChannelAxisNames{"channel axis", is_channel_axis,
+                                      channel_axis_error};
+
+template <const AxisNames& names>
 bool read_axes(obs::FieldReader& r, const obs::Field<TaskSpec>&,
                const obs::JsonValue& v, const std::string& path,
                TaskSpec& task) {
@@ -387,13 +402,14 @@ bool read_axes(obs::FieldReader& r, const obs::Field<TaskSpec>&,
             continue;
         }
         AxisSpec axis;
+        const obs::JsonValue* values_at = nullptr;
         for (const auto& [ak, avv] : av.members) {
             if (ak == "name") {
-                statmodel::ModelConfig probe;
                 if (r.text(avv, ap + ".name", axis.name) &&
-                    !statmodel::set_model_field(probe, axis.name, 0.0)) {
+                    !names.known(axis.name)) {
                     r.fail(avv, ap + ".name",
-                           "unknown model field \"" + axis.name + "\"");
+                           "unknown " + std::string(names.what) + " \"" +
+                               axis.name + "\"");
                 }
             } else if (ak == "values" || ak == "linspace" ||
                        ak == "logspace" || ak == "steps") {
@@ -404,6 +420,7 @@ bool read_axes(obs::FieldReader& r, const obs::Field<TaskSpec>&,
                 wrap.offset = avv.offset;
                 wrap.members.emplace_back(ak, avv);
                 (void)r.values(wrap, ap, axis.values);
+                values_at = &avv;
             } else {
                 r.unknown(avv, ap + "." + ak, ak, {});
             }
@@ -413,6 +430,17 @@ bool read_axes(obs::FieldReader& r, const obs::Field<TaskSpec>&,
         } else if (axis.values.empty()) {
             r.fail(av, ap, "axis needs values (literal or generator)");
         } else {
+            for (std::size_t k = 0; k < axis.values.size(); ++k) {
+                const std::string_view bad =
+                    names.error(axis.name, axis.values[k]);
+                if (bad.empty()) continue;
+                // A literal array points at the value itself; a generator
+                // at its own spec.
+                const bool literal = values_at->is_array();
+                r.fail(literal ? values_at->items[k] : *values_at,
+                       ap + ".values[" + std::to_string(k) + "]",
+                       std::string(bad));
+            }
             task.axes.push_back(std::move(axis));
         }
     }
@@ -467,7 +495,7 @@ constexpr obs::Field<TaskSpec> kPrefixRow = field<&TaskSpec::prefix>(
                .message = "metric prefix must be [a-z0-9_.]{1,64}"});
 
 constexpr obs::Field<TaskSpec> kBerSurfaceFields[] = {
-    {"axes", read_axes, write_axes},
+    {"axes", read_axes<kModelAxisNames>, write_axes},
     {"jtol", read_jtol, write_jtol, {}, has_jtol},
     kind_row(TaskSpec::Kind::kBerSurface),
     kPrefixRow,
@@ -508,10 +536,26 @@ constexpr obs::Field<TaskSpec> kHealthProbeFields[] = {
     kPrefixRow,
 };
 
+constexpr obs::Field<TaskSpec> kFtolFields[] = {
+    {"axes", read_axes<kModelAxisNames>, write_axes},
+    field<&TaskSpec::ber_target>("ber_target", kProbability),
+    kind_row(TaskSpec::Kind::kFtol),
+    kPrefixRow,
+};
+
+constexpr obs::Field<TaskSpec> kChannelSweepFields[] = {
+    {"axes", read_axes<kChannelAxisNames>, write_axes},
+    field<&TaskSpec::bits>("bits", kBitBudget),
+    field<&TaskSpec::improved_sampling>("improved_sampling"),
+    kind_row(TaskSpec::Kind::kChannelSweep),
+    kPrefixRow,
+};
+
 /// Field table of each task kind, in TaskSpec::Kind order.
 constexpr std::span<const obs::Field<TaskSpec>> kTaskFields[] = {
-    kBerSurfaceFields, kBaselineJtolFields, kNetlistRunFields,
-    kDifferentialFields, kHealthProbeFields};
+    kBerSurfaceFields,   kBaselineJtolFields, kNetlistRunFields,
+    kDifferentialFields, kHealthProbeFields,  kFtolFields,
+    kChannelSweepFields};
 
 static_assert(obs::keys_sorted<McSpec>(kMcFields));
 static_assert(obs::keys_sorted<ChannelSpec>(kChannelFields));
@@ -521,6 +565,8 @@ static_assert(obs::keys_sorted<TaskSpec>(kBerSurfaceFields));
 static_assert(obs::keys_sorted<TaskSpec>(kBaselineJtolFields));
 static_assert(obs::keys_sorted<TaskSpec>(kDifferentialFields));
 static_assert(obs::keys_sorted<TaskSpec>(kHealthProbeFields));
+static_assert(obs::keys_sorted<TaskSpec>(kFtolFields));
+static_assert(obs::keys_sorted<TaskSpec>(kChannelSweepFields));
 
 std::span<const obs::Field<TaskSpec>> task_fields(TaskSpec::Kind k) {
     return kTaskFields[static_cast<std::size_t>(k)];
@@ -535,10 +581,6 @@ void parse_model(Ctx& ctx, const obs::JsonValue& v,
         return;
     }
     statmodel::read_model_config(ctx, v, "model", cfg);
-    if (cfg.spec.dj_uipp < 0.0 || cfg.spec.rj_uirms < 0.0 ||
-        cfg.spec.sj_uipp < 0.0 || cfg.spec.ckj_uirms < 0.0) {
-        ctx.fail(v, "model", "jitter budget terms must be >= 0");
-    }
 }
 
 // --- netlist ---------------------------------------------------------------
@@ -843,15 +885,19 @@ void parse_task(Ctx& ctx, const obs::JsonValue& v, const std::string& tp,
     if (it == std::end(kTaskKinds)) {
         ctx.fail(kindv ? *kindv : v, tp + ".kind",
                  "want \"ber_surface\", \"baseline_jtol\", "
-                 "\"netlist_run\", \"differential\" or \"health_probe\"");
+                 "\"netlist_run\", \"differential\", \"health_probe\", "
+                 "\"ftol\" or \"channel_sweep\"");
         return;
     }
     task.kind = static_cast<TaskSpec::Kind>(it - std::begin(kTaskKinds));
     task.prefix = kind;
     (void)obs::read_fields(ctx, v, tp, task_fields(task.kind), task,
                            {.kind = kind});
-    if (task.kind == TaskSpec::Kind::kBerSurface && task.axes.empty()) {
-        ctx.fail(v, tp, "ber_surface needs \"axes\"");
+    const bool swept = task.kind == TaskSpec::Kind::kBerSurface ||
+                       task.kind == TaskSpec::Kind::kFtol ||
+                       task.kind == TaskSpec::Kind::kChannelSweep;
+    if (swept && task.axes.empty()) {
+        ctx.fail(v, tp, kind + " needs \"axes\"");
     }
     if (task.kind == TaskSpec::Kind::kBaselineJtol &&
         task.jtol_freqs.empty()) {

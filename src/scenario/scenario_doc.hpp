@@ -93,7 +93,9 @@ struct TaskSpec {
         kBaselineJtol,
         kNetlistRun,
         kDifferential,
-        kHealthProbe
+        kHealthProbe,
+        kFtol,
+        kChannelSweep
     };
     Kind kind = Kind::kBerSurface;
     /// Metric prefix ("fig9" -> fig9.ber_evals...); unique per document.
@@ -101,6 +103,10 @@ struct TaskSpec {
 
     // kBerSurface: statistical-model BER over a sweep grid, optionally
     // followed by a JTOL contour (Fig 9: scenarios/fig9_ber_sj.json).
+    // kFtol: statmodel::ftol at `ber_target` over the same kind of grid.
+    // kChannelSweep: one behavioral GccoChannel per point of a grid over
+    // the channel axes (compile.hpp), driven with `bits` of jittered
+    // PRBS7 (Fig 13, the behavioral FTOL scan).
     std::vector<AxisSpec> axes;
     bool has_jtol = false;
     JtolSpec jtol;
@@ -109,7 +115,7 @@ struct TaskSpec {
     // phase-interpolator CDRs (scenarios/baseline_jtol.json).
     std::vector<double> jtol_freqs;
     std::uint64_t jtol_bits = 40000;
-    double ber_target = 1e-12;
+    double ber_target = 1e-12;  ///< also kFtol's
     double amp_cap = 32.0;
     std::vector<double> offsets;  ///< empty = skip the offset sweep
     std::uint64_t offset_bits = 50000;
@@ -131,6 +137,10 @@ struct TaskSpec {
     // (the daemon's /v1/watch live stream). Event-driven execution makes
     // the slicing behavior-neutral.
     std::uint64_t frames = 8;
+
+    // kChannelSweep (axes above).
+    std::uint64_t bits = 8000;
+    bool improved_sampling = false;
 };
 
 [[nodiscard]] const char* task_kind_name(TaskSpec::Kind k);

@@ -177,8 +177,7 @@ bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
                     error = "axes[]: want {\"name\":...,\"values\":[...]}";
                     return false;
                 }
-                statmodel::ModelConfig probe;
-                if (!statmodel::set_model_field(probe, name->text, 0.0)) {
+                if (!statmodel::is_model_axis(name->text)) {
                     error = "axes[].name: unknown config field \"" +
                             name->text + "\"";
                     return false;
@@ -188,6 +187,14 @@ bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
                 if (!r.values(*values, "axes[].values", out.values)) {
                     error = std::move(r.error);
                     return false;
+                }
+                for (double x : out.values) {
+                    const std::string_view bad =
+                        statmodel::model_axis_error(out.name, x);
+                    if (!bad.empty()) {
+                        error = "axes[].values: " + std::string(bad);
+                        return false;
+                    }
                 }
                 spec.axes.push_back(std::move(out));
             }
@@ -351,9 +358,8 @@ JobSpec sweep_point_spec(const JobSpec& sweep, const exec::SweepPoint& p) {
     point.type = JobType::kBer;
     point.axes.clear();
     for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
-        // Names were validated at parse time; this cannot fail here.
-        (void)statmodel::set_model_field(point.cfg, sweep.axes[a].name,
-                                         p.value[a]);
+        // Names and values were validated at parse time.
+        statmodel::set_model_field(point.cfg, sweep.axes[a].name, p.value[a]);
     }
     point.seed = p.seed;
     return point;

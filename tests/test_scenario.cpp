@@ -378,6 +378,60 @@ const MalformedCase kMalformed[] = {
      "<test>:3:11: at tasks[0].axes[0]: axis needs values (literal or "
      "generator)\n"
      "<test>:2:10: at tasks[0]: ber_surface needs \"axes\""},
+    {"axis value outside the model field's range",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s",
+          "axes":[{"name":"grid_dx","values":[-0.001]}]}]})",
+     "want in (0, 0.1]",
+     "<test>:3:47: at tasks[0].axes[0].values[0]: want in (0, 0.1]"},
+    {"negative jitter budget term",
+     R"({"schema":"gcdr.scenario/v1","name":"x","model":{"dj_uipp":-0.1},
+         "tasks":[{"kind":"differential","prefix":"d"}]})",
+     "want >= 0",
+     "<test>:1:60: at model.dj_uipp: want >= 0"},
+    {"negative jitter axis value",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ber_surface","prefix":"s",
+          "axes":[{"name":"rj_uirms","values":[0.02,-0.02]}]}]})",
+     "want >= 0",
+     "<test>:3:53: at tasks[0].axes[0].values[1]: want >= 0"},
+    {"integer axis value from a generator",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ftol","prefix":"f",
+          "axes":[{"name":"max_cid","linspace":{"from":4,"to":5,"points":3}}]}]})",
+     "want an integer in [1, 16]",
+     "<test>:3:48: at tasks[0].axes[0].values[1]: want an integer in "
+     "[1, 16]"},
+    {"ftol without axes",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"ftol","prefix":"f","ber_target":1e-12}]})",
+     "ftol needs \"axes\"",
+     "<test>:2:10: at tasks[0]: ftol needs \"axes\""},
+    {"unknown channel_sweep axis name",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"channel_sweep","prefix":"c",
+          "axes":[{"name":"sj_uipp","values":[0.1]}]}]})",
+     "unknown channel axis \"sj_uipp\"",
+     "<test>:3:27: at tasks[0].axes[0].name: unknown channel axis "
+     "\"sj_uipp\""},
+    {"non-positive tau_ui",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"channel_sweep","prefix":"c",
+          "axes":[{"name":"tau_ui","values":[0.5,0]}]}]})",
+     "want in (0, 4]",
+     "<test>:3:50: at tasks[0].axes[0].values[1]: want in (0, 4]"},
+    {"channel_sweep bits below the budget",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"channel_sweep","prefix":"c","bits":999,
+          "axes":[{"name":"tau_ui","values":[0.5]}]}]})",
+     "want an integer in [1000, 10000000]",
+     "<test>:2:54: at tasks[0].bits: want an integer in [1000, 10000000]"},
+    {"channel_sweep bits above the budget",
+     R"({"schema":"gcdr.scenario/v1","name":"x","tasks":[
+         {"kind":"channel_sweep","prefix":"c","bits":10000001,
+          "axes":[{"name":"f_osc_hz","values":[2.5e9]}]}]})",
+     "want an integer in [1000, 10000000]",
+     "<test>:2:54: at tasks[0].bits: want an integer in [1000, 10000000]"},
 };
 
 TEST(ScenarioDoc, MalformedDocumentsAreRejectedLoudly) {
@@ -549,6 +603,10 @@ TEST(ScenarioGoldens, CanonicalHashesArePinned) {
         {"xval_sj030.json", 0x710e720f415b097full},
         {"fig8_timing.json", 0x2ba1c0088c600828ull},
         {"health_smoke.json", 0xc013b394be268b91ull},
+        {"fig10_ber_freqoff.json", 0x20b420eca8cb1a80ull},
+        {"fig13_tau_sweep.json", 0x774e0c67f7101452ull},
+        {"fig17_ber_improved.json", 0x0cab3a3b9571e08full},
+        {"ftol_scan.json", 0x1331d330b587a882ull},
     };
     for (const auto& pin : pins) {
         const std::string path =
@@ -575,6 +633,28 @@ TEST(ScenarioGoldens, MultilaneNetlistCompiles) {
     EXPECT_EQ(net.lanes[0].bits, 2000u);
     EXPECT_DOUBLE_EQ(net.lanes[0].skew_ps, 0.0);
     EXPECT_DOUBLE_EQ(net.lanes[3].skew_ps, 105.0);
+}
+
+TEST(ScenarioCompile, ChannelAxesLowerOntoTheNominalChannel) {
+    ScenarioDoc doc;
+    std::vector<Diagnostic> diags;
+    ASSERT_TRUE(load(R"({"schema":"gcdr.scenario/v1","name":"x",
+        "model":{"ckj_uirms":0},
+        "tasks":[{"kind":"channel_sweep","prefix":"c",
+                  "improved_sampling":true,
+                  "axes":[{"name":"freq_offset","values":[0.02]},
+                          {"name":"tau_ui","values":[0.8]}]}]})",
+                     doc, diags));
+    const cdr::ChannelConfig cfg =
+        compile_channel(doc, doc.tasks[0], {0.02, 0.8});
+    EXPECT_EQ(cfg.gcco.fc_hz, 2.5e9 / 1.02);
+    EXPECT_EQ(cfg.edge_detector.cell_delay,
+              SimTime::from_seconds(0.8 * kPaperRate.ui_seconds() /
+                                    cfg.edge_detector.n_cells));
+    EXPECT_TRUE(cfg.improved_sampling);
+    // A zero-CKJ document gives a jitter-free ring and delay line.
+    EXPECT_EQ(cfg.gcco.jitter_sigma, 0.0);
+    EXPECT_EQ(cfg.edge_detector.cell_jitter_rel, 0.0);
 }
 
 // --- fuzzer --------------------------------------------------------------

@@ -286,8 +286,14 @@ TEST(Protocol, ConfigRejectionsCarryExactErrors) {
          "config.grid_dx: want in (0, 0.1]"},
         {R"({"type":"ber","config":{"sj_uipp":"x","grid_dx":0.5}})",
          "config.sj_uipp: want finite number"},
-        {R"({"type":"sweep","axes":[{"name":"max_cid","values":[3]}]})",
-         "axes[].name: unknown config field \"max_cid\""},
+        {R"({"type":"sweep","axes":[{"name":"run_model","values":[3]}]})",
+         "axes[].name: unknown config field \"run_model\""},
+        {R"({"type":"sweep","axes":[{"name":"max_cid","values":[3.5]}]})",
+         "axes[].values: want an integer in [1, 16]"},
+        {R"({"type":"sweep","axes":[{"name":"grid_dx","values":[-0.001]}]})",
+         "axes[].values: want in (0, 0.1]"},
+        {R"({"type":"ber","config":{"dj_uipp":-0.1}})",
+         "config.dj_uipp: want >= 0"},
         {R"({"type":"sweep","axes":[{"name":"sj_uip","values":[0.1]}]})",
          "axes[].name: unknown config field \"sj_uip\""},
         {R"({"type":"ber","priority":1e300})", "priority: want integer"},
