@@ -117,11 +117,18 @@ void BM_GridPdfConvolveFft(benchmark::State& state) {
 }
 BENCHMARK(BM_GridPdfConvolveFft);
 
-void BM_StatModelBer(benchmark::State& state) {
+// One statistical-model BER point with SJ: 512 SJ phases per run length,
+// each a GridPdf tail query, on top of the run-length convolutions.
+statmodel::ModelConfig stat_model_ber_config() {
     statmodel::ModelConfig cfg;
     cfg.grid_dx = 1e-3;
     cfg.spec.sj_uipp = 0.3;
     cfg.sj_freq_norm = 0.1;
+    return cfg;
+}
+
+void BM_StatModelBer(benchmark::State& state) {
+    const auto cfg = stat_model_ber_config();
     for (auto _ : state) {
         benchmark::DoNotOptimize(statmodel::ber_of(cfg));
     }
@@ -177,6 +184,20 @@ void BM_SpiceCmlBufferStep(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpiceCmlBufferStep);
+
+// Calls `fn` `reps` times and returns calls per second of wall time.
+template <typename Fn>
+double evals_per_s(int reps, Fn fn) {
+    double sink = 0.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < reps; ++i) sink += fn();
+    const double secs = std::max(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count(),
+        1e-12);
+    benchmark::DoNotOptimize(sink);
+    return static_cast<double>(reps) / secs;
+}
 
 // Instrumented reference workloads: the same shapes as the
 // microbenchmarks above, but with telemetry attached, so the report
@@ -240,6 +261,25 @@ void run_instrumented_workloads(obs::MetricsRegistry& reg) {
             static_cast<double>(a.size() + b.size() - 1);
         reg.gauge("kernel_perf.convolve_wall_seconds").set(secs);
         reg.gauge("kernel_perf.convolve_points_per_s").set(points / secs);
+    }
+    reg.gauge("kernel_perf.statmodel_ber_evals_per_s")
+        .set(evals_per_s(200, [cfg = stat_model_ber_config()] {
+            return statmodel::ber_of(cfg);
+        }));
+    {
+        // Tail queries on a 901-bin PDF at 4096 points across its support.
+        const auto pdf = stats::GridPdf::gaussian(0.05, 1e-3);
+        const double width = pdf.dx() * static_cast<double>(pdf.size());
+        std::vector<double> xs(4096);
+        for (std::size_t k = 0; k < xs.size(); ++k) {
+            xs[k] = pdf.x0() + width * static_cast<double>(k) /
+                                   static_cast<double>(xs.size());
+        }
+        std::size_t k = 0;
+        reg.gauge("kernel_perf.pdf_cdf_per_s")
+            .set(evals_per_s(1000 * static_cast<int>(xs.size()), [&] {
+                return pdf.cdf(xs[k++ % xs.size()]);
+            }));
     }
 }
 

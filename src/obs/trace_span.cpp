@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 
 #include "obs/json.hpp"
@@ -13,17 +14,25 @@ namespace gcdr::obs {
 
 namespace {
 
-// Per-thread cache of the buffer resolved for one collector. A thread
-// recording into two collectors alternately re-resolves on each switch,
-// which is fine: spans are recorded in bulk against one collector at a
-// time (the global one, in practice).
+// Per-thread cache of the buffer resolved for one collector, keyed on the
+// collector's id (not its address, which a later collector may reuse). A
+// thread recording into two collectors alternately re-resolves on each
+// switch under the collector's lock and finds the buffer it registered
+// there before by its own id (LocalCache::thread, also never reused).
 struct LocalCache {
-    const void* collector = nullptr;
+    std::uint64_t thread = 0;     // assigned on the first slow-path lookup
+    std::uint64_t collector = 0;  // 0 = nothing cached
     void* buffer = nullptr;
 };
 thread_local LocalCache t_cache;
 
 }  // namespace
+
+std::uint64_t SpanCollector::next_id() {
+    // One sequence for collectors and threads; ids start at 1.
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 void SpanCollector::enable(std::size_t per_thread_capacity) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -45,14 +54,23 @@ double SpanCollector::now_s() const {
 }
 
 SpanCollector::Buffer& SpanCollector::local_buffer() {
-    if (t_cache.collector == this && t_cache.buffer)
+    if (t_cache.collector == id_)
         return *static_cast<Buffer*>(t_cache.buffer);
+    if (t_cache.thread == 0) t_cache.thread = next_id();
     std::lock_guard<std::mutex> lock(mu_);
-    buffers_.push_back(std::make_unique<Buffer>(
-        static_cast<std::uint32_t>(buffers_.size()), capacity_));
-    t_cache.collector = this;
-    t_cache.buffer = buffers_.back().get();
-    return *buffers_.back();
+    auto it = std::find_if(buffers_.begin(), buffers_.end(),
+                           [](const std::unique_ptr<Buffer>& b) {
+                               return b->owner == t_cache.thread;
+                           });
+    if (it == buffers_.end()) {
+        buffers_.push_back(std::make_unique<Buffer>(
+            static_cast<std::uint32_t>(buffers_.size()), t_cache.thread,
+            capacity_));
+        it = std::prev(buffers_.end());
+    }
+    t_cache.collector = id_;
+    t_cache.buffer = it->get();
+    return **it;
 }
 
 void SpanCollector::record(const char* name, double t0_s, double t1_s) {

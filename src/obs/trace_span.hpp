@@ -10,7 +10,8 @@
 // enough to leave instrumentation compiled in everywhere. When enabled,
 // each span costs two steady_clock reads plus one bounded vector append
 // into the recording thread's private buffer (no lock on the record path;
-// the only lock is taken once per thread at buffer registration). Buffers
+// a lock is taken only when a thread records into a different collector
+// than the one it recorded into last, e.g. on its first span). Buffers
 // are fixed-capacity: overflowing spans are counted in dropped(), never
 // reallocated mid-run.
 //
@@ -94,17 +95,24 @@ public:
 
 private:
     struct Buffer {
-        Buffer(std::uint32_t tid, std::size_t capacity) : tid(tid) {
+        Buffer(std::uint32_t tid, std::uint64_t owner, std::size_t capacity)
+            : tid(tid), owner(owner) {
             spans.reserve(capacity);
         }
         std::uint32_t tid;
+        std::uint64_t owner;  ///< id of the recording thread (never reused)
         std::vector<Span> spans;
         std::uint64_t dropped = 0;
         std::uint64_t next_seq = 0;
     };
 
     Buffer& local_buffer();
+    static std::uint64_t next_id();
 
+    /// Keys each thread's cached buffer pointer. Never reused, so a
+    /// collector built where a destroyed one lived cannot inherit that
+    /// collector's freed buffers.
+    const std::uint64_t id_ = next_id();
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_{};
     std::size_t capacity_ = 32768;

@@ -87,7 +87,8 @@ struct ModelConfig {
     RunModel run_model = RunModel::kWeighted;
 };
 
-/// Statistical model instance; precomputes per-run-length error PDFs.
+/// Statistical model instance. Holds only its config: each query builds
+/// the run-length error PDFs it needs (relative_edge_pdf) afresh.
 class GatedOscStatModel {
 public:
     explicit GatedOscStatModel(const ModelConfig& cfg);

@@ -13,6 +13,18 @@ namespace gcdr::stats {
 GridPdf::GridPdf(double x0, double dx, std::vector<double> density)
     : x0_(x0), dx_(dx), density_(std::move(density)) {
     assert(dx_ > 0.0);
+    index();
+}
+
+void GridPdf::index() {
+    prefix_.assign(1, 0.0);
+    prefix_.reserve(density_.size() + 1);
+    double sum = 0.0;
+    for (double v : density_) {
+        prefix_.push_back(prefix_.back() + v * dx_);
+        sum += v;
+    }
+    mass_ = sum * dx_;
 }
 
 GridPdf GridPdf::dirac(double x, double dx) {
@@ -88,12 +100,6 @@ GridPdf GridPdf::from_samples(const std::vector<double>& xs, double dx) {
     return GridPdf{lo, dx, std::move(d)};
 }
 
-double GridPdf::mass() const {
-    double s = 0.0;
-    for (double v : density_) s += v;
-    return s * dx_;
-}
-
 double GridPdf::mean() const {
     double s = 0.0, m = 0.0;
     for (std::size_t i = 0; i < density_.size(); ++i) {
@@ -120,6 +126,7 @@ void GridPdf::normalize() {
     const double m = mass();
     if (m <= 0.0) return;
     for (auto& v : density_) v /= m;
+    index();
 }
 
 void GridPdf::shift(double offset) {
@@ -129,20 +136,29 @@ void GridPdf::shift(double offset) {
 double GridPdf::cdf(double x) const {
     if (empty()) return 0.0;
     // Each bin's mass is spread uniformly over [x_i - dx/2, x_i + dx/2);
-    // integrate exactly, including the partial bin at x.
-    double acc = 0.0;
-    for (std::size_t i = 0; i < density_.size(); ++i) {
-        const double left = x_at(i) - dx_ / 2.0;
-        if (x >= left + dx_) {
-            acc += density_[i] * dx_;
-        } else if (x > left) {
-            acc += density_[i] * (x - left);
-            break;
+    // integrate exactly, including the partial bin at x. Bin i lies wholly
+    // at or below x while x >= left_i + dx, which is monotone in i, so the
+    // first partial bin is found by binary search on that same expression
+    // and prefix_ supplies the left-to-right sum of the bins before it.
+    auto whole = [&](std::size_t i) {
+        return x >= (x_at(i) - dx_ / 2.0) + dx_;
+    };
+    std::size_t lo = 0;
+    std::size_t hi = density_.size();
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (whole(mid)) {
+            lo = mid + 1;
         } else {
-            break;
+            hi = mid;
         }
     }
-    return std::min(acc, mass());
+    double acc = prefix_[lo];
+    if (lo < density_.size()) {
+        const double left = x_at(lo) - dx_ / 2.0;
+        if (x > left) acc += density_[lo] * (x - left);
+    }
+    return std::min(acc, mass_);
 }
 
 double GridPdf::tail_below(double x) const { return cdf(x); }

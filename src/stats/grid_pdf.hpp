@@ -7,11 +7,17 @@
 // Gaussian (oscillator) — then integrating the tails that fall outside the
 // timing margin to get the BER.
 //
+// Tail queries are O(log n): every instance carries a prefix-sum table of
+// its bin masses, built eagerly whenever the densities change (construction
+// and normalize()), never lazily inside a const query.
+//
 // Thread safety: GridPdf is value-semantic with no global or hidden shared
-// state — factories return fresh objects, const queries touch only `this`,
-// and convolution allocates its result. Distinct instances can be built
-// and queried concurrently (exec/ sweeps rely on this); only mutating one
-// instance from several threads needs external synchronization.
+// state — factories return fresh objects, const queries touch only `this`
+// and write nothing, and convolution allocates its result. Distinct
+// instances can be built and queried concurrently, and one const instance
+// can be queried from many threads (exec/ sweeps rely on both); only
+// mutating one instance from several threads needs external
+// synchronization.
 
 #include <cstddef>
 #include <vector>
@@ -51,7 +57,8 @@ public:
         return density_;
     }
 
-    [[nodiscard]] double mass() const;
+    /// (sum of densities) * dx, cached when the densities change.
+    [[nodiscard]] double mass() const { return mass_; }
     [[nodiscard]] double mean() const;
     [[nodiscard]] double variance() const;
     [[nodiscard]] double stddev() const;
@@ -63,11 +70,13 @@ public:
     /// origin need not stay a multiple of dx (bin width is unchanged).
     void shift(double offset);
 
-    /// P(X <= x): trapezoidal CDF evaluated from the left.
+    /// P(X <= x), capped at mass(): each bin's mass spread uniformly over
+    /// [x_i - dx/2, x_i + dx/2) and integrated exactly. O(log n), and
+    /// bit-identical to summing the bins left to right up to x.
     [[nodiscard]] double cdf(double x) const;
     /// P(X < lo) + P(X > hi): the "error tail" mass outside [lo, hi].
     [[nodiscard]] double tail_outside(double lo, double hi) const;
-    /// P(X > x).
+    /// P(X > x), summed from the right (linear scan).
     [[nodiscard]] double tail_above(double x) const;
     /// P(X < x).
     [[nodiscard]] double tail_below(double x) const;
@@ -87,9 +96,16 @@ public:
                                    double prune_floor = 0.0) const;
 
 private:
+    /// Rebuild prefix_ and mass_ from density_.
+    void index();
+
     double x0_ = 0.0;
     double dx_ = 1.0;
     std::vector<double> density_;
+    /// prefix_[k] = sum of density_[i] * dx_ over i < k, added left to
+    /// right (size() + 1 entries once indexed).
+    std::vector<double> prefix_;
+    double mass_ = 0.0;
 };
 
 /// Convolve a set of PDFs (skipping empties); returns dirac(0) if none.

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "stats/grid_pdf.hpp"
 #include "util/mathx.hpp"
@@ -112,6 +117,97 @@ TEST(GridPdf, CdfIsMonotoneFromZeroToOne) {
         prev = c;
     }
     EXPECT_NEAR(g.cdf(0.0), 0.5, 2e-3);
+}
+
+// GridPdf::cdf before its O(log n) search, kept verbatim as the reference
+// it must match bit for bit: a left-to-right scan over the bins, capped at
+// mass() recomputed as (sum of densities) * dx.
+double linear_scan_cdf(const GridPdf& p, double x) {
+    if (p.empty()) return 0.0;
+    const auto& d = p.density();
+    const double dx = p.dx();
+    double acc = 0.0;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+        const double left = p.x_at(i) - dx / 2.0;
+        if (x >= left + dx) {
+            acc += d[i] * dx;
+        } else if (x > left) {
+            acc += d[i] * (x - left);
+            break;
+        } else {
+            break;
+        }
+    }
+    double sum = 0.0;
+    for (double v : d) sum += v;
+    return std::min(acc, sum * dx);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// cdf and tail_below against the linear scan at every bin edge (as the
+// scan computes it), one ulp either side, every bin centre, beyond both
+// ends of the support, at the infinities and at NaN.
+void expect_cdf_matches_linear_scan(const GridPdf& p) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> xs = {-kInf, kInf,
+                              std::numeric_limits<double>::quiet_NaN()};
+    const double dx = p.dx();
+    const double first = p.x0() - dx / 2.0;
+    const double last = p.x_at(p.empty() ? 0 : p.size() - 1) + dx / 2.0;
+    for (double x : {first - 10.0 * dx, first - dx, last + dx,
+                     last + 10.0 * dx}) {
+        xs.push_back(x);
+    }
+    for (std::size_t i = 0; i < p.size(); ++i) {
+        const double left = p.x_at(i) - dx / 2.0;
+        for (double edge : {left, left + dx}) {
+            xs.push_back(edge);
+            xs.push_back(std::nextafter(edge, -kInf));
+            xs.push_back(std::nextafter(edge, kInf));
+        }
+        xs.push_back(p.x_at(i));
+    }
+    for (double x : xs) {
+        const double want = linear_scan_cdf(p, x);
+        EXPECT_EQ(bits(p.cdf(x)), bits(want)) << "x = " << x;
+        EXPECT_EQ(bits(p.tail_below(x)), bits(want)) << "x = " << x;
+    }
+    double sum = 0.0;
+    for (double v : p.density()) sum += v;
+    EXPECT_EQ(bits(p.mass()), bits(sum * dx));
+}
+
+TEST(GridPdf, CdfIsBitIdenticalToLinearScan) {
+    {
+        SCOPED_TRACE("dirac");
+        expect_cdf_matches_linear_scan(GridPdf::dirac(0.25, kDx));
+    }
+    {
+        SCOPED_TRACE("empty");
+        expect_cdf_matches_linear_scan(GridPdf());
+    }
+    {
+        SCOPED_TRACE("normalized, with zero bins");
+        std::vector<double> d;
+        for (int i = 0; i < 257; ++i) d.push_back(i % 7 == 3 ? 0.0 : 0.1 * i);
+        GridPdf p{-0.1234, kDx, std::move(d)};
+        expect_cdf_matches_linear_scan(p);
+        p.normalize();
+        expect_cdf_matches_linear_scan(p);
+    }
+    {
+        SCOPED_TRACE("shifted by a non-multiple of dx");
+        auto g = GridPdf::gaussian(0.02, kDx);
+        g.shift(0.37 * kDx + 1e-9);
+        expect_cdf_matches_linear_scan(g);
+    }
+    {
+        SCOPED_TRACE("pruned convolution");
+        const auto c = GridPdf::gaussian(0.02, kDx)
+                           .convolve(GridPdf::uniform(0.1, kDx), 1e-18);
+        expect_cdf_matches_linear_scan(c);
+    }
 }
 
 TEST(GridPdf, TailOutsideSplitsMass) {

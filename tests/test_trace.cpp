@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -211,6 +212,59 @@ TEST(SpanCollector, FullBufferCountsDrops) {
     c.clear();
     EXPECT_TRUE(c.merged().empty());
     EXPECT_EQ(c.dropped(), 0u);
+}
+
+TEST(SpanCollector, CollectorAtReusedAddressGetsItsOwnBuffer) {
+    // emplace() builds each collector in the storage of the one before it;
+    // the thread's cached buffer must not carry over to the newcomer.
+    std::optional<obs::SpanCollector> slot;
+    for (const std::size_t capacity : {std::size_t{32768}, std::size_t{4}}) {
+        slot.emplace();
+        slot->enable(capacity);
+        for (int i = 0; i < 10; ++i) {
+            slot->record("reuse", static_cast<double>(i), i + 0.5);
+        }
+        slot->disable();
+        const std::size_t kept = std::min<std::size_t>(10, capacity);
+        EXPECT_EQ(slot->merged().size(), kept);
+        EXPECT_EQ(slot->dropped(), 10 - kept);
+    }
+}
+
+TEST(SpanCollector, AlternatingCollectorsKeepOneBufferPerThread) {
+    obs::SpanCollector a;
+    obs::SpanCollector b;
+    a.enable();
+    b.enable();
+    for (int i = 0; i < 4; ++i) {
+        a.record("a", static_cast<double>(i), i + 0.5);
+        b.record("b", static_cast<double>(i), i + 0.5);
+    }
+    for (const obs::SpanCollector* c : {&a, &b}) {
+        const auto spans = c->merged();
+        ASSERT_EQ(spans.size(), 4u);
+        for (std::size_t i = 0; i < spans.size(); ++i) {
+            EXPECT_EQ(spans[i].tid, 0u);
+            EXPECT_EQ(spans[i].seq, i);
+        }
+    }
+}
+
+TEST(TraceSpan, StraddlingEnableOrDisableRecordsNothing) {
+    obs::SpanCollector c;
+    {
+        obs::TraceSpan before("straddle.enable", c);
+        c.enable();
+    }
+    {
+        obs::TraceSpan during("straddle.disable", c);
+        c.disable();
+    }
+    EXPECT_TRUE(c.merged().empty());
+    c.enable();
+    { obs::TraceSpan inside("inside", c); }
+    ASSERT_EQ(c.merged().size(), 1u);
+    EXPECT_STREQ(c.merged()[0].name, "inside");
 }
 
 // ------------------------------------------------------------- recorder
